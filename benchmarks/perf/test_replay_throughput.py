@@ -29,7 +29,8 @@ Two regression gates run in the same measurement:
 * the batched and kernel *naive-normalized* speedups must not regress more
   than 20 % below the committed baseline in ``BENCH_replay.json``
   (normalizing by the same-run naive rps cancels machine speed, so the
-  gate is meaningful on heterogeneous CI hardware).
+  gate is meaningful on heterogeneous CI hardware).  A committed baseline
+  without the section a gate reads fails that gate: it does not pass.
 
 A second benchmark, :func:`test_scheduled_replay_throughput`, measures the
 event-batched *scheduled* kernel: a depth-8 closed replay of 8000
@@ -42,6 +43,11 @@ is a ratio of two runs on the same machine, so it transfers across
 hardware).  Results land in a ``scheduled`` section of
 ``BENCH_replay.json`` and as a second line ("kind": "scheduled") in
 ``BENCH_history.jsonl``.
+
+Each benchmark writes only its own section of ``BENCH_replay.json``
+(:func:`write_bench_section`), so a run stopped between them cannot drop
+another benchmark's section.  Every history line records the commit
+measured (:func:`head_commit`).
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ from repro import DriveConfig, FleetConfig, build_drive, build_fleet
 from repro.api import stripe_trace
 from repro.disksim import DiskDrive, DiskRequest
 from repro.sim import Trace, TraceReplayEngine
+from run import git_commit  # perfbench/run.py, put on sys.path by conftest.py
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 BENCH_PATH = REPO_ROOT / "BENCH_replay.json"
@@ -138,36 +145,52 @@ def build_aligned_trace(drive: DiskDrive, n: int, seed: int = 42) -> Trace:
     return trace
 
 
-def _append_history(payload: dict) -> None:
-    """One line per benchmark run: the cross-run perf trajectory."""
+def head_commit(root: pathlib.Path = REPO_ROOT) -> str:
+    """The commit measured: ``GITHUB_SHA`` when CI sets it, else HEAD read
+    from ``.git`` by perfbench's ``git_commit`` without starting a git
+    process ("" when unreadable)."""
+    return os.environ.get("GITHUB_SHA") or git_commit(root) or ""
+
+
+def append_history(fields: dict) -> None:
+    """Append one line to the cross-run perf trajectory: when, which
+    commit and which Python, then the benchmark's own ``fields``."""
     line = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
         ),
-        "commit": os.environ.get("GITHUB_SHA", ""),
-        "python": payload["python"],
-        "naive_rps": payload["naive"]["rps"],
-        "batched_rps": payload["batched"]["rps"],
-        "batched_speedup": payload["batched"]["speedup_vs_naive"],
-        "sharded_rps": payload["sharded"]["rps"],
-        "kernel_rps": payload["kernel"]["rps"],
-        "kernel_speedup": payload["kernel"]["speedup_vs_naive"],
-        "kernel_sharded_rps": payload["kernel_sharded"]["rps"],
+        "commit": head_commit(),
+        "python": platform.python_version(),
+        **fields,
     }
     HISTORY_PATH.parent.mkdir(exist_ok=True)
     with open(HISTORY_PATH, "a", encoding="utf-8") as handle:
         handle.write(json.dumps(line) + "\n")
 
 
-def _check_regressions(baseline: dict | None, payload: dict) -> list[str]:
+def write_bench_section(section: dict) -> None:
+    """Replace the top-level keys ``section`` holds in ``BENCH_replay.json``
+    and keep every other benchmark's keys as they are."""
+    merged = _load_bench()
+    merged.update(section)
+    BENCH_PATH.write_text(json.dumps(merged, indent=2) + "\n")
+
+
+def missing_baseline(section: str) -> str:
+    return (
+        f"committed {BENCH_PATH.name} has no '{section}' baseline: "
+        "the gate cannot run without it"
+    )
+
+
+def _check_regressions(baseline: dict, payload: dict) -> list[str]:
     """Compare naive-normalized speedups against the committed baseline."""
-    if not baseline:
-        return []
     failures = []
     for mode in ("batched", "kernel"):
         reference = (baseline.get(mode) or {}).get("speedup_vs_naive")
         if not reference:
-            continue  # baseline predates this mode
+            failures.append(missing_baseline(mode))
+            continue
         current = payload[mode]["speedup_vs_naive"]
         if current < reference * (1.0 - MAX_REGRESSION):
             failures.append(
@@ -185,8 +208,6 @@ def test_replay_throughput(record):
     # whole trace is whole-track requests by construction.
     aligned_fraction = trace.aligned_fraction(reference.geometry)
     assert aligned_fraction == 1.0
-
-    baseline = COMMITTED_BASELINE or None
 
     # --- naive per-request loop (the seed baseline) -------------------- #
     naive_drive = build_drive(DRIVE_CONFIG)
@@ -296,15 +317,21 @@ def test_replay_throughput(record):
     }
     # History records every run; the baseline is only replaced when the
     # regression gate passes, so a failing run cannot ratchet the committed
-    # BENCH_replay.json down and green-light its own rerun.  The scheduled
-    # section (owned by test_scheduled_replay_throughput) is carried over.
-    _append_history(payload)
-    regressions = _check_regressions(baseline, payload)
+    # BENCH_replay.json down and green-light its own rerun.
+    append_history(
+        {
+            "naive_rps": naive_rps,
+            "batched_rps": batched_rps,
+            "batched_speedup": speedup_batched,
+            "sharded_rps": sharded_rps,
+            "kernel_rps": kernel_rps,
+            "kernel_speedup": speedup_kernel,
+            "kernel_sharded_rps": kernel_sharded_rps,
+        }
+    )
+    regressions = _check_regressions(COMMITTED_BASELINE, payload)
     if not regressions:
-        scheduled = _load_bench().get("scheduled")
-        if scheduled is not None:
-            payload["scheduled"] = scheduled
-        BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+        write_bench_section(payload)
 
     lines = [
         "Replay throughput (wall-clock requests/second)",
@@ -377,32 +404,17 @@ def _time_sched_replay(trace: Trace, policy: str, fast: bool) -> tuple[float, ob
     return best, stats
 
 
-def _append_sched_history(section: dict) -> None:
-    line = {
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-        "commit": os.environ.get("GITHUB_SHA", ""),
-        "python": platform.python_version(),
-        "kind": "scheduled",
-        "depth": SCHED_DEPTH,
-        "requests": SCHED_REQUESTS,
-    }
-    for policy, row in section["policies"].items():
-        line[f"{policy}_speedup"] = row["speedup_vs_scalar"]
-    HISTORY_PATH.parent.mkdir(exist_ok=True)
-    with open(HISTORY_PATH, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(line) + "\n")
-
-
 def _check_sched_regressions(baseline: dict, section: dict) -> list[str]:
     """Per-policy 20 % gate on the scalar-normalized kernel speedups."""
     reference_policies = (baseline.get("scheduled") or {}).get("policies") or {}
+    if not reference_policies:
+        return [missing_baseline("scheduled")]
     failures = []
     for policy, row in section["policies"].items():
         reference = (reference_policies.get(policy) or {}).get("speedup_vs_scalar")
         if not reference:
-            continue  # baseline predates this policy
+            failures.append(missing_baseline(f"scheduled.policies.{policy}"))
+            continue
         current = row["speedup_vs_scalar"]
         if current < reference * (1.0 - MAX_REGRESSION):
             failures.append(
@@ -452,12 +464,13 @@ def test_scheduled_replay_throughput(record):
     )
     record("BENCH_replay_scheduled", "\n".join(lines))
 
-    _append_sched_history(section)
+    history = {"kind": "scheduled", "depth": SCHED_DEPTH, "requests": SCHED_REQUESTS}
+    for policy, row in section["policies"].items():
+        history[f"{policy}_speedup"] = row["speedup_vs_scalar"]
+    append_history(history)
     regressions = _check_sched_regressions(COMMITTED_BASELINE, section)
     if not regressions:
-        merged = _load_bench()
-        merged["scheduled"] = section
-        BENCH_PATH.write_text(json.dumps(merged, indent=2) + "\n")
+        write_bench_section({"scheduled": section})
 
     slow = {
         policy: row["speedup_vs_scalar"]

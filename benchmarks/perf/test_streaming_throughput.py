@@ -16,7 +16,8 @@ a *ratio* (streamed rps / one-shot rps), so it transfers across machines:
 
 * streamed must reach >= 0.8x of one-shot kernel throughput, and
 * the ratio must not regress more than 20 % below the committed value in
-  the ``streaming`` section of ``BENCH_replay.json``.
+  the ``streaming`` section of ``BENCH_replay.json``; a committed file
+  without that section fails the gate.
 
 Results are merged into ``BENCH_replay.json`` (a ``streaming`` section,
 preserving the sections owned by the other benchmarks) and appended as a
@@ -24,11 +25,6 @@ preserving the sections owned by the other benchmarks) and appended as a
 """
 
 from __future__ import annotations
-
-import datetime
-import json
-import os
-import platform
 
 from repro import build_drive
 from repro.sim import TraceStream
@@ -45,8 +41,10 @@ from test_replay_throughput import (
     TRACE_REQUESTS,
     TraceReplayEngine,
     _best_of,
-    _load_bench,
+    append_history,
     build_aligned_trace,
+    missing_baseline,
+    write_bench_section,
 )
 
 #: Chunk size for the streamed run: small enough that the 50k-request trace
@@ -57,31 +55,12 @@ STREAM_CHUNK_REQUESTS = 8_192
 MIN_STREAM_RATIO = 0.8
 
 
-def _append_streaming_history(section: dict) -> None:
-    line = {
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-        "commit": os.environ.get("GITHUB_SHA", ""),
-        "python": platform.python_version(),
-        "kind": "streaming",
-        "requests": section["requests"],
-        "chunk_requests": section["chunk_requests"],
-        "one_shot_rps": section["one_shot"]["rps"],
-        "streamed_rps": section["streamed"]["rps"],
-        "stream_ratio": section["streamed"]["ratio_vs_one_shot"],
-    }
-    HISTORY_PATH.parent.mkdir(exist_ok=True)
-    with open(HISTORY_PATH, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(line) + "\n")
-
-
 def _check_streaming_regression(baseline: dict, section: dict) -> list[str]:
     reference = ((baseline.get("streaming") or {}).get("streamed") or {}).get(
         "ratio_vs_one_shot"
     )
     if not reference:
-        return []
+        return [missing_baseline("streaming")]
     current = section["streamed"]["ratio_vs_one_shot"]
     if current < reference * (1.0 - MAX_REGRESSION):
         return [
@@ -130,12 +109,19 @@ def test_streaming_throughput(record):
         },
     }
 
-    _append_streaming_history(section)
+    append_history(
+        {
+            "kind": "streaming",
+            "requests": section["requests"],
+            "chunk_requests": section["chunk_requests"],
+            "one_shot_rps": one_shot_rps,
+            "streamed_rps": streamed_rps,
+            "stream_ratio": ratio,
+        }
+    )
     regressions = _check_streaming_regression(COMMITTED_BASELINE, section)
     if not regressions:
-        merged = _load_bench()
-        merged["streaming"] = section
-        BENCH_PATH.write_text(json.dumps(merged, indent=2) + "\n")
+        write_bench_section({"streaming": section})
 
     record(
         "BENCH_replay_streaming",

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -63,12 +64,21 @@ class Traxtent:
         return start < self.end_lbn and start + count > self.first_lbn
 
 
+#: geometry -> {(map class, start LBN, end LBN): finished ground-truth map}.
+#: Weakly keyed, so a geometry's maps are released with it.
+_GEOMETRY_MAPS: weakref.WeakKeyDictionary[DiskGeometry, dict] = weakref.WeakKeyDictionary()
+
+
 class TraxtentMap:
-    """Ordered collection of traxtents covering (part of) a disk."""
+    """Ordered collection of traxtents covering (part of) a disk.
+
+    A map is immutable once built (extents and starts are tuples), so the
+    ground-truth maps of :meth:`from_geometry` can be shared by every caller.
+    """
 
     def __init__(self, extents: Iterable[Traxtent]) -> None:
-        self._extents = sorted(extents)
-        self._starts = [e.first_lbn for e in self._extents]
+        self._extents = tuple(sorted(extents))
+        self._starts = tuple(e.first_lbn for e in self._extents)
         self._validate()
 
     def _validate(self) -> None:
@@ -190,14 +200,25 @@ class TraxtentMap:
         start_lbn: int = 0,
         end_lbn: int | None = None,
     ) -> "TraxtentMap":
-        """Ground-truth map straight from the simulated drive's geometry."""
+        """Ground-truth map of the whole tracks inside ``[start_lbn,
+        end_lbn)`` straight from the simulated drive's geometry.
+
+        A map is a fixed fact about one disk, so each is built once per
+        geometry and range and the same object is returned on later calls;
+        it is released together with the geometry.  Callers ask for a
+        handful of ranges per disk (zones, partitions), which bounds what a
+        geometry keeps.
+        """
         end = geometry.total_lbns if end_lbn is None else end_lbn
-        extents = [
-            Traxtent(extent.first_lbn, extent.lbn_count)
-            for extent in geometry.track_extents()
-            if extent.first_lbn >= start_lbn and extent.first_lbn + extent.lbn_count <= end
-        ]
-        return cls(extents)
+        maps = _GEOMETRY_MAPS.setdefault(geometry, {})
+        key = (cls, start_lbn, end)
+        cached = maps.get(key)
+        if cached is None:
+            cached = maps[key] = cls(
+                Traxtent(extent.first_lbn, extent.lbn_count)
+                for extent in geometry.track_extents(start_lbn, end)
+            )
+        return cached
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[int, int]]) -> "TraxtentMap":

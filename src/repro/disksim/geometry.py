@@ -431,18 +431,34 @@ class DiskGeometry:
         """Number of LBN-holding sectors on the track containing ``lbn``."""
         return self._track_lbn_count[self.track_of_lbn(lbn)]
 
-    def track_extents(self) -> Iterator[TrackExtent]:
-        """Iterate the ground-truth extents of every LBN-holding track."""
-        for track in range(self._num_tracks):
-            count = self._track_lbn_count[track]
+    def track_extents(
+        self, start_lbn: int = 0, end_lbn: int | None = None
+    ) -> Iterator[TrackExtent]:
+        """Iterate the ground-truth extents of the LBN-holding tracks that
+        lie wholly inside ``[start_lbn, end_lbn)`` (default: the whole
+        drive), in LBN order.
+
+        Only the tracks in the range are visited: the walk starts at the
+        first track whose first LBN is at or after ``start_lbn`` (found by
+        bisection) and stops at the first LBN-holding track that ends past
+        ``end_lbn``.  A track cut by either edge is not yielded.
+        """
+        end = self._total_lbns if end_lbn is None else end_lbn
+        first_lbns = self._track_first_lbn
+        counts = self._track_lbn_count
+        for track in range(bisect.bisect_left(first_lbns, start_lbn), self._num_tracks):
+            count = counts[track]
             if count == 0:
                 continue
+            first = first_lbns[track]
+            if first + count > end:
+                return
             cylinder, surface = self.track_to_cyl_surface(track)
             yield TrackExtent(
                 track=track,
                 cylinder=cylinder,
                 surface=surface,
-                first_lbn=self._track_first_lbn[track],
+                first_lbn=first,
                 lbn_count=count,
             )
 

@@ -1,7 +1,12 @@
 """Tests for TraxtentMap, allocation, request shaping and SCSI queries."""
 
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
+from repro import DriveConfig, build_drive, clear_drive_build_cache
 from repro.core import (
     AllocationError,
     ExtentAllocator,
@@ -87,6 +92,97 @@ def test_extents_in_range(truth_map):
     assert third in hits
     assert len(hits) >= 2
     assert truth_map.extents_in_range(5, 5) == []
+
+
+# --------------------------------------------------------------------------- #
+# Ground-truth maps: range walk and one shared map per geometry and range
+# --------------------------------------------------------------------------- #
+
+def _filter_all_tracks(tracks, start, end):
+    """The map as built before the range walk: every track of the drive,
+    filtered to the whole LBN-holding tracks inside [start, end)."""
+    return TraxtentMap(
+        Traxtent(first, count)
+        for first, count in tracks
+        if count and first >= start and first + count <= end
+    )
+
+
+def _expected(tracks, start, end):
+    try:
+        return _filter_all_tracks(tracks, start, end)
+    except TraxtentError:
+        return TraxtentError
+
+
+def _built(geometry, *lbn_range):
+    try:
+        return TraxtentMap.from_geometry(geometry, *lbn_range)
+    except TraxtentError:
+        return TraxtentError
+
+
+def test_from_geometry_matches_filtering_every_track(range_walk_geometry, range_walk_ranges):
+    geometry = range_walk_geometry
+    tracks = [geometry.track_bounds(track) for track in range(geometry.num_tracks)]
+    assert _built(geometry) == _expected(tracks, 0, geometry.total_lbns)
+    for start, end in range_walk_ranges:
+        assert _built(geometry, start, end) == _expected(tracks, start, end), (start, end)
+
+
+def test_from_geometry_shares_one_map_per_geometry_and_range(small_specs):
+    geometry = DiskGeometry(small_specs)
+    zone = geometry.zone_lbn_range(0)
+    zone_map = TraxtentMap.from_geometry(geometry, *zone)
+    assert TraxtentMap.from_geometry(geometry, *zone) is zone_map
+    whole = TraxtentMap.from_geometry(geometry)
+    assert TraxtentMap.from_geometry(geometry, 0, geometry.total_lbns) is whole
+    assert whole is not zone_map
+    assert TraxtentMap.from_geometry(geometry, *geometry.zone_lbn_range(1)) is not zone_map
+    # Equal specs, another geometry object: an equal map, not the same one.
+    twin = TraxtentMap.from_geometry(DiskGeometry(small_specs), *zone)
+    assert twin == zone_map and twin is not zone_map
+
+
+def test_from_geometry_map_released_with_its_geometry(small_specs):
+    geometry = DiskGeometry(small_specs)
+    geometry_ref = weakref.ref(geometry)
+    map_ref = weakref.ref(TraxtentMap.from_geometry(geometry))
+    assert map_ref() is not None  # held by the per-geometry cache
+    del geometry
+    gc.collect()
+    assert geometry_ref() is None and map_ref() is None
+
+
+def test_from_geometry_maps_dropped_with_the_factory_geometries():
+    config = DriveConfig(model="Quantum Atlas 10K II", cylinders_per_zone=12, num_zones=3)
+    clear_drive_build_cache()
+    drive = build_drive(config)
+    zone_map = TraxtentMap.from_geometry(drive.geometry, *drive.geometry.zone_lbn_range(0))
+    # A second drive of the same model shares the geometry, so the map too.
+    other = build_drive(config)
+    assert TraxtentMap.from_geometry(other.geometry, *other.geometry.zone_lbn_range(0)) is zone_map
+    map_ref = weakref.ref(zone_map)
+    del drive, other, zone_map
+    clear_drive_build_cache()
+    gc.collect()
+    assert map_ref() is None
+
+
+def test_shared_map_cannot_be_changed(clean_geometry):
+    shared = TraxtentMap.from_geometry(clean_geometry)
+    before = shared.to_pairs()
+    assert isinstance(shared[0:3], tuple)
+    with pytest.raises(TypeError):
+        shared[0] = Traxtent(0, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shared[0].length = 1
+    # Every container a query returns is the caller's own copy.
+    shared.to_pairs().clear()
+    shared.extents_in_range(0, clean_geometry.total_lbns).clear()
+    shared.boundary_set().clear()
+    assert shared.to_pairs() == before
+    assert TraxtentMap.from_geometry(clean_geometry) is shared
 
 
 # --------------------------------------------------------------------------- #

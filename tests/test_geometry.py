@@ -79,6 +79,80 @@ def test_track_bounds_consistent_with_extents(clean_geometry):
         assert clean_geometry.track_of_lbn(extent.last_lbn) == extent.track
 
 
+def _whole_tracks(tracks, start, end):
+    """Reference range filter: every LBN-holding track wholly inside
+    [start, end), from a full per-track list of (track, first, count)."""
+    return [
+        (track, first, count)
+        for track, first, count in tracks
+        if count and first >= start and first + count <= end
+    ]
+
+
+def test_track_extents_range_walk_matches_full_filter(
+    range_walk_geometry, range_walk_ranges
+):
+    geometry = range_walk_geometry
+    tracks = [
+        (track, *geometry.track_bounds(track)) for track in range(geometry.num_tracks)
+    ]
+    walked = [(e.track, e.first_lbn, e.lbn_count) for e in geometry.track_extents()]
+    assert walked == _whole_tracks(tracks, 0, geometry.total_lbns)
+    for start, end in range_walk_ranges:
+        walked = [
+            (e.track, e.first_lbn, e.lbn_count)
+            for e in geometry.track_extents(start, end)
+        ]
+        assert walked == _whole_tracks(tracks, start, end), (start, end)
+
+
+class _CountingList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_track_extents_walks_only_the_tracks_it_covers(small_specs):
+    geometry = DiskGeometry(small_specs)
+    counts = _CountingList(geometry._track_lbn_count)
+    geometry._track_lbn_count = counts
+    walked = list(geometry.track_extents(*geometry.zone_lbn_range(1)))
+    assert walked
+    # One read per track of the zone, plus the first track past its end.
+    assert counts.reads == len(walked) + 1
+
+
+def test_track_extents_range_edges_cut_tracks(clean_geometry):
+    first, count = clean_geometry.track_bounds(1)
+    # A range that cuts track 1 at either edge yields nothing of it.
+    assert [e.track for e in clean_geometry.track_extents(first, first + count)] == [1]
+    assert [e.track for e in clean_geometry.track_extents(first + 1, first + count)] == []
+    assert [e.track for e in clean_geometry.track_extents(first, first + count - 1)] == []
+    assert list(clean_geometry.track_extents(first, first)) == []
+    assert list(clean_geometry.track_extents(clean_geometry.total_lbns)) == []
+
+
+def test_track_extents_skip_spare_tracks():
+    specs = small_test_specs().scaled(
+        spare_scheme=SpareScheme.TRACKS_PER_ZONE, spare_count=6
+    )
+    geometry = DiskGeometry(specs)
+    empty = [
+        track for track in range(geometry.num_tracks) if geometry.track_bounds(track)[1] == 0
+    ]
+    assert empty  # spare tracks hold no LBNs
+    # A spare track shares its first LBN with the next real track; a range
+    # starting there still yields that real track first.
+    start = geometry.track_bounds(empty[0])[0]
+    walked = next(geometry.track_extents(start))
+    assert walked.first_lbn == start and walked.track > empty[0]
+    assert all(e.lbn_count > 0 for e in geometry.track_extents())
+
+
 def test_track_capacity_reflects_cylinder_spares(small_specs, clean_geometry):
     """With per-cylinder sparing only the last surface gives up sectors."""
     spt = small_specs.max_sectors_per_track
