@@ -192,11 +192,3 @@ class FirmwareCache:
     def segments(self) -> list[tuple[int, int]]:
         """Cached LBN ranges, oldest first (exposed for tests)."""
         return list(self._segments)
-
-    @property
-    def is_pristine(self) -> bool:
-        """True when the cache holds no data and no prefetch is running
-        (its state after construction or :meth:`invalidate`).  The columnar
-        replay kernel only engages on pristine caches -- a warm cache could
-        serve hits the kernel's static reuse analysis cannot see."""
-        return not self._segments and self._prefetch_start is None

@@ -18,7 +18,7 @@ Typical use::
 
 from .engine import ReplayStats, TraceReplayEngine
 from .importers import import_blktrace, iter_blktrace_chunks
-from .kernel import clear_kernel_tables, replay_kernel
+from .kernel import clear_kernel_tables
 from .shard import LbnRangeShard, RoutedPiece
 from .stream import ServiceStats, TraceStream, run_service
 from .trace import Trace, TraceRecord, TraceRecordingDrive
@@ -36,6 +36,5 @@ __all__ = [
     "clear_kernel_tables",
     "import_blktrace",
     "iter_blktrace_chunks",
-    "replay_kernel",
     "run_service",
 ]

@@ -12,25 +12,22 @@ supported:
   Python-level per-request overhead (the whole point of this engine).
 * **closed** replay -- trace timestamps are ignored; each drive keeps
   exactly one request outstanding (onereq semantics, Section 5.2 of the
-  paper) and the fleet-wide interleaving is driven by an event heap keyed
-  on per-drive completion times.
+  paper), issuing the next one when the previous one completes.
 
-Both disciplines are deterministic: the same trace on a fresh fleet always
-produces bitwise-identical statistics.
+Every replay runs in :mod:`repro.sim.stream`: a one-shot replay is a
+one-chunk stream.  Both disciplines are deterministic: the same trace on a
+fresh fleet always produces bitwise-identical statistics.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
-from ..analysis.stats import summarize
-from ..disksim.drive import BatchResult, DiskDrive, DiskRequest, DriveStats
+from ..disksim.drive import DiskDrive
 from ..disksim.errors import RequestError
 from ..disksim.sched import Scheduler, make_scheduler
-from ..faults import fleet_fault_extras
 from .shard import LbnRangeShard
 from .trace import Trace
 
@@ -136,7 +133,7 @@ class TraceReplayEngine:
     the exact scalar path -- which advances the seeded fault RNG in
     service order -- may produce numbers),
     ``"defective geometry"``,
-    ``"out-of-order bus"``, ``"warm firmware cache (reset=False)"``,
+    ``"out-of-order bus"``,
     ``"unknown opcode"``, ``"invalid request"``,
     ``"request exceeds fleet capacity"``,
     ``"shard-boundary-crossing requests"``,
@@ -158,6 +155,11 @@ class TraceReplayEngine:
     ``last_replay_path == "kernel_sched"``) whenever it is applicable,
     falling back to the exact scalar queue loop otherwise; results are
     bitwise identical either way.
+
+    Every replay runs through the drivers of :mod:`repro.sim.stream` (a
+    one-shot replay is a one-chunk stream), so its timestamps are checked
+    like a stream's: a NaN or negative one raises
+    :class:`~repro.disksim.errors.ConfigError` naming its index.
 
     ``queue_depth`` applies to closed replay only: each drive keeps up to
     that many requests outstanding (admitting the next trace request when
@@ -192,103 +194,28 @@ class TraceReplayEngine:
         self.last_replay_path: str | None = None
         self.last_fast_reason: str | None = None
 
-    def _try_kernel_sched(
-        self,
-        trace: Trace,
-        mode: str,
-        think_ms: float,
-        reset: bool,
-        record_forced: bool,
-    ) -> ReplayStats | None:
-        """Attempt the event-batched scheduled kernel; ``None`` on refusal.
-
-        Sets :attr:`last_replay_path`/:attr:`last_fast_reason` for both
-        outcomes (``"kernel_sched"``/``"ok"`` on success, the refusal
-        reason otherwise); on refusal the caller runs the scalar loop.
-        """
-        if self.fast is None or self.fast:
-            from .kernel import replay_kernel_sched
-
-            stats, reason = replay_kernel_sched(
-                self.fleet,
-                trace,
-                self.scheduler,
-                mode=mode,
-                queue_depth=self.queue_depth,
-                think_ms=think_ms,
-                reset=reset,
-                record_forced=record_forced,
-            )
-            if stats is not None:
-                self.last_replay_path = "kernel_sched"
-                self.last_fast_reason = "ok"
-                return stats
-            self.last_fast_reason = reason
-        else:
-            self.last_fast_reason = "fast disabled"
-        self.last_replay_path = "scalar"
-        return None
-
     # ------------------------------------------------------------------ #
     # Open replay
     # ------------------------------------------------------------------ #
     def replay(self, trace: Trace, reset: bool = True) -> ReplayStats:
         """Open replay: issue every request at its trace timestamp.
 
-        The trace is routed shard by shard in global issue order, then each
-        shard's stream is serviced in batches.  Identical to submitting
-        every request individually with :meth:`DiskDrive.submit` -- the
-        batched path is numerically exact -- but several times faster.
+        The trace is sorted into issue order and replayed as one chunk of
+        a stream (:func:`repro.sim.stream.replay_once`).  Under FCFS each
+        shard's requests are serviced by the columnar kernel when it is
+        enabled (``fast`` is ``None`` or ``True``) and applicable, and
+        otherwise in batches through :meth:`DiskDrive.submit_batch`, which
+        is numerically exact against per-request :meth:`DiskDrive.submit`.
 
-        When the columnar kernel is enabled (``fast`` is ``None`` or
-        ``True``) and applicable, the whole trace is serviced with numpy
-        array math instead; the returned statistics are bitwise identical.
-
-        With a non-FCFS scheduler the replay goes through the scheduled
-        queue path (see :meth:`_replay_open_scheduled`), which itself
-        prefers the event-batched scheduled kernel.
+        With a non-FCFS scheduler, requests are admitted at their
+        timestamps into each drive's pending queue and dispatched by the
+        policy; the event-batched scheduled kernel serves the whole trace
+        when applicable, the exact scalar queue loop otherwise.  The
+        returned statistics are bitwise identical whichever path runs.
         """
-        if self.scheduler_name != "fcfs":
-            return self._replay_open_scheduled(trace, reset=reset)
-        if self.fast is None or self.fast:
-            from .kernel import replay_kernel
+        from .stream import replay_once
 
-            stats, reason = replay_kernel(self.fleet, trace, reset=reset)
-            if stats is not None:
-                self.last_replay_path = "kernel"
-                self.last_fast_reason = "ok"
-                return stats
-            self.last_fast_reason = reason
-        else:
-            self.last_fast_reason = "fast disabled"
-        self.last_replay_path = "scalar"
-        fleet = self.fleet
-        if reset:
-            fleet.reset()
-        before = fleet.combined_stats()
-        split_before = fleet.split_requests
-        fault_before = fleet_fault_extras(fleet)
-        ordered = trace if trace.is_time_ordered() else trace.sorted_by_issue()
-        shard_ops, shard_lbns, shard_counts, shard_times = self._route_open(ordered)
-
-        batch = self.batch_size
-        results: list[BatchResult] = []
-        for shard, drive in enumerate(fleet.drives):
-            result = BatchResult()
-            ops = shard_ops[shard]
-            for lo in range(0, len(ops), batch):
-                hi = lo + batch
-                drive.submit_batch(
-                    ops[lo:hi],
-                    shard_lbns[shard][lo:hi],
-                    shard_counts[shard][lo:hi],
-                    shard_times[shard][lo:hi],
-                    out=result,
-                )
-            results.append(result)
-        return self._aggregate(
-            ordered, results, "open", before, split_before, fault_before
-        )
+        return replay_once(self, trace, "open", 0.0, reset)
 
     def _route_open(
         self, ordered: Trace
@@ -354,142 +281,6 @@ class TraceReplayEngine:
         return queues
 
     # ------------------------------------------------------------------ #
-    # Scheduled replay (non-FCFS policies, and closed depth > 1)
-    # ------------------------------------------------------------------ #
-    def _replay_open_scheduled(self, trace: Trace, reset: bool = True) -> ReplayStats:
-        """Open replay through each drive's pending queue.
-
-        Requests are *admitted* at their trace timestamps but *dispatched*
-        by the scheduler: whenever a drive's mechanism is ready for its
-        next access, every request that has arrived by that instant is a
-        candidate and the policy picks one.  Under FCFS this dispatch order
-        degenerates to arrival order (which is why FCFS replays keep the
-        batched/kernel fast paths instead of this loop).
-
-        The event-batched scheduled kernel serves the replay whenever it
-        is applicable (bitwise identical); this scalar loop is the exact
-        reference it falls back to.
-        """
-        stats = self._try_kernel_sched(
-            trace, "open", 0.0, reset, record_forced=True
-        )
-        if stats is not None:
-            return stats
-        fleet = self.fleet
-        if reset:
-            fleet.reset()
-        before = fleet.combined_stats()
-        split_before = fleet.split_requests
-        fault_before = fleet_fault_extras(fleet)
-        ordered = trace if trace.is_time_ordered() else trace.sorted_by_issue()
-        shard_ops, shard_lbns, shard_counts, shard_times = self._route_open(ordered)
-
-        results: list[BatchResult] = []
-        forced = 0
-        for shard, drive in enumerate(fleet.drives):
-            sched = self.scheduler.clone()
-            drive.attach_scheduler(sched)
-            try:
-                result = BatchResult()
-                ops = shard_ops[shard]
-                lbns = shard_lbns[shard]
-                counts = shard_counts[shard]
-                times = shard_times[shard]
-                n = len(ops)
-                i = 0
-                enqueue = drive.enqueue
-                while i < n or len(sched):
-                    if len(sched) == 0:
-                        # Idle drive: the next dispatch decision happens
-                        # when the next request arrives.
-                        now = times[i]
-                        if drive.actuator_free > now:
-                            now = drive.actuator_free
-                    else:
-                        # Busy drive: decide when the mechanism frees up.
-                        now = drive.actuator_free
-                    while i < n and times[i] <= now:
-                        enqueue(DiskRequest(ops[i], lbns[i], counts[i]), times[i])
-                        i += 1
-                    done = drive.dispatch_next(now)
-                    result.append_completed(done)
-                forced += sched.forced_dispatches
-                results.append(result)
-            finally:
-                drive.attach_scheduler(None)
-        stats = self._aggregate(
-            ordered, results, "open", before, split_before, fault_before
-        )
-        stats.extras["forced_dispatches"] = float(forced)
-        return stats
-
-    def _replay_closed_scheduled(
-        self, trace: Trace, think_ms: float, reset: bool
-    ) -> ReplayStats:
-        """Closed replay with a scheduled pending queue per drive.
-
-        Each drive keeps up to ``queue_depth`` requests outstanding: the
-        first ``queue_depth`` trace requests are admitted at time zero and
-        every completion admits the next one (plus ``think_ms``).  The
-        scheduler picks among the queued requests at every dispatch.
-        Depth 1 under FCFS reproduces the classic onereq loop exactly.
-
-        The event-batched scheduled kernel serves the replay whenever it
-        is applicable (bitwise identical); this scalar loop is the exact
-        reference it falls back to.
-        """
-        stats = self._try_kernel_sched(
-            trace, "closed", think_ms, reset, record_forced=True
-        )
-        if stats is not None:
-            return stats
-        fleet = self.fleet
-        if reset:
-            fleet.reset()
-        before = fleet.combined_stats()
-        split_before = fleet.split_requests
-        fault_before = fleet_fault_extras(fleet)
-        queues = self._route_closed(trace)
-
-        depth = self.queue_depth
-        results: list[BatchResult] = []
-        forced = 0
-        for shard, drive in enumerate(fleet.drives):
-            sched = self.scheduler.clone()
-            drive.attach_scheduler(sched)
-            try:
-                result = BatchResult()
-                queue = queues[shard]
-                n = len(queue)
-                i = 0
-                now = 0.0
-                enqueue = drive.enqueue
-                while i < n and len(sched) < depth:
-                    op, lbn, count = queue[i]
-                    enqueue(DiskRequest(op, lbn, count), now)
-                    i += 1
-                while len(sched):
-                    decision = drive.actuator_free
-                    if now > decision:
-                        decision = now
-                    done = drive.dispatch_next(decision)
-                    result.append_completed(done)
-                    now = done.completion + think_ms
-                    if i < n:
-                        op, lbn, count = queue[i]
-                        enqueue(DiskRequest(op, lbn, count), now)
-                        i += 1
-                forced += sched.forced_dispatches
-                results.append(result)
-            finally:
-                drive.attach_scheduler(None)
-        stats = self._aggregate(
-            trace, results, "closed", before, split_before, fault_before
-        )
-        stats.extras["forced_dispatches"] = float(forced)
-        return stats
-
-    # ------------------------------------------------------------------ #
     # Closed replay
     # ------------------------------------------------------------------ #
     def replay_closed(
@@ -499,51 +290,20 @@ class TraceReplayEngine:
 
         Trace timestamps are ignored; each shard's requests are serviced in
         trace order, each issued when the previous one on that shard
-        completes (plus ``think_ms``).  An event heap keyed on per-shard
-        next-issue times drives the fleet-wide interleaving, so the merged
-        completion sequence is produced in global time order.
+        completes (plus ``think_ms``).  The trace is replayed as one chunk
+        of a stream, on the event-batched scheduled kernel when applicable
+        (FCFS at depth 1 is a degenerate schedule it reproduces bitwise,
+        including the empty ``extras``), otherwise through the exact
+        scalar loop.
 
-        A non-FCFS scheduler or ``queue_depth > 1`` routes to the
-        scheduled queue loop (:meth:`_replay_closed_scheduled`).  The
-        classic onereq case itself is served by the event-batched
-        scheduled kernel whenever applicable -- FCFS at depth 1 is a
-        degenerate schedule, and the kernel reproduces this event-heap
-        loop bitwise (including its empty ``extras``).
+        A non-FCFS scheduler or ``queue_depth > 1`` keeps up to
+        ``queue_depth`` requests outstanding per drive: the first ones are
+        admitted at time zero, every completion admits the next one, and
+        the scheduler picks among the queued requests at every dispatch.
         """
-        if self.scheduler_name != "fcfs" or self.queue_depth > 1:
-            return self._replay_closed_scheduled(trace, think_ms, reset)
-        stats = self._try_kernel_sched(
-            trace, "closed", think_ms, reset, record_forced=False
-        )
-        if stats is not None:
-            return stats
-        fleet = self.fleet
-        if reset:
-            fleet.reset()
-        before = fleet.combined_stats()
-        split_before = fleet.split_requests
-        fault_before = fleet_fault_extras(fleet)
-        n_shards = len(fleet)
-        queues = self._route_closed(trace)
+        from .stream import replay_once
 
-        results = [BatchResult() for _ in range(n_shards)]
-        cursors = [0] * n_shards
-        heap: list[tuple[float, int]] = [
-            (0.0, shard) for shard in range(n_shards) if queues[shard]
-        ]
-        heapq.heapify(heap)
-        drives = fleet.drives
-        while heap:
-            now, shard = heapq.heappop(heap)
-            op, lbn, count = queues[shard][cursors[shard]]
-            cursors[shard] += 1
-            done = drives[shard].submit(DiskRequest(op, lbn, count), now)
-            results[shard].append_completed(done)
-            if cursors[shard] < len(queues[shard]):
-                heapq.heappush(heap, (done.completion + think_ms, shard))
-        return self._aggregate(
-            trace, results, "closed", before, split_before, fault_before
-        )
+        return replay_once(self, trace, "closed", think_ms, reset)
 
     # ------------------------------------------------------------------ #
     # Streaming replay
@@ -578,115 +338,6 @@ class TraceReplayEngine:
         from .stream import replay_closed_stream
 
         return replay_closed_stream(self, chunks, think_ms=think_ms, reset=reset)
-
-    # ------------------------------------------------------------------ #
-    # Aggregation
-    # ------------------------------------------------------------------ #
-    def _aggregate(
-        self,
-        trace: Trace,
-        results: list[BatchResult],
-        mode: str,
-        before: "DriveStats",
-        split_before: int,
-        fault_before: "dict[str, float] | None" = None,
-    ) -> ReplayStats:
-        fleet = self.fleet
-        issued = sum(len(r) for r in results)
-        if issued == 0:
-            raise RequestError("cannot replay an empty trace")
-
-        responses: list[float] = []
-        breakdown = {
-            "seek_ms": 0.0,
-            "settle_ms": 0.0,
-            "rotational_latency_ms": 0.0,
-            "head_switch_ms": 0.0,
-            "media_transfer_ms": 0.0,
-            "bus_ms": 0.0,
-            "bus_overlap_ms": 0.0,
-            "busy_ms": 0.0,
-        }
-        start_ms = float("inf")
-        end_ms = float("-inf")
-        cache_hits = streamed = 0
-        per_drive: list[dict[str, float]] = []
-        all_issues: list[float] = []
-        all_completions: list[float] = []
-        for shard, result in enumerate(results):
-            responses.extend(result.response_times())
-            breakdown["seek_ms"] += sum(result.seek_ms)
-            breakdown["settle_ms"] += sum(result.settle_ms)
-            breakdown["rotational_latency_ms"] += sum(result.latency_ms)
-            breakdown["head_switch_ms"] += sum(result.head_switch_ms)
-            breakdown["media_transfer_ms"] += sum(result.transfer_ms)
-            breakdown["bus_ms"] += sum(result.bus_ms)
-            breakdown["bus_overlap_ms"] += sum(result.overlap_ms)
-            busy = sum(result.media_busy_ms())
-            breakdown["busy_ms"] += busy
-            if result.issue_times:
-                start_ms = min(start_ms, min(result.issue_times))
-                end_ms = max(end_ms, max(result.completions))
-            cache_hits += sum(result.cache_hits)
-            streamed += sum(result.streamed)
-            per_drive.append({"requests": float(len(result)), "busy_ms": busy})
-            all_issues.extend(result.issue_times)
-            all_completions.extend(result.completions)
-
-        combined = fleet.combined_stats()
-        span = max(0.0, end_ms - start_ms)
-        for shard, entry in enumerate(per_drive):
-            entry["utilization"] = (
-                entry["busy_ms"] / span if span > 0.0 else 0.0
-            )
-
-        # Sweep the merged issue/completion event stream for the peak
-        # number of in-flight requests across the fleet.  Completions tie-
-        # break before issues at the same instant (back-to-back requests do
-        # not count as concurrent).
-        all_issues.sort()
-        all_completions.sort()
-        outstanding = peak = 0
-        j = 0
-        n_completions = len(all_completions)
-        for issue in all_issues:
-            while j < n_completions and all_completions[j] <= issue:
-                outstanding -= 1
-                j += 1
-            outstanding += 1
-            if outstanding > peak:
-                peak = outstanding
-
-        # Drive counters are cumulative; report this run's delta so a
-        # warm-state replay (reset=False) still describes only its trace.
-        stats = ReplayStats(
-            trace_requests=len(trace),
-            issued_requests=issued,
-            split_requests=fleet.split_requests - split_before,
-            reads=combined.reads - before.reads,
-            writes=combined.writes - before.writes,
-            cache_hits=cache_hits,
-            streamed=streamed,
-            sectors=(combined.sectors_read + combined.sectors_written)
-            - (before.sectors_read + before.sectors_written),
-            start_ms=start_ms,
-            end_ms=end_ms,
-            response=summarize(responses),
-            breakdown=breakdown,
-            per_drive=per_drive,
-            peak_outstanding=peak,
-            mode=mode,
-        )
-        # Fault counters ride in ``extras`` only when a fault schedule is
-        # attached, so fault-free replays stay byte-identical to pre-fault
-        # output.  Like the drive counters above, report this run's delta.
-        fault_after = fleet_fault_extras(fleet)
-        if fault_after:
-            base = fault_before or {}
-            stats.extras.update(
-                {k: v - base.get(k, 0.0) for k, v in fault_after.items()}
-            )
-        return stats
 
 
 __all__ = ["ReplayStats", "TraceReplayEngine"]

@@ -1,10 +1,10 @@
-"""Columnar fast-path replay kernel: whole-trace service with numpy.
+"""Columnar fast-path replay kernel: shard-local service with numpy.
 
 The batched engine of PR 1 already amortizes Python call overhead, but its
 hot loop still performs per-request geometry bisects, memo-dict probes,
 firmware-cache probes and thirteen column appends.  This module services a
-whole :class:`~repro.sim.trace.Trace` with the per-request work split into
-two phases:
+shard-local request stream (one chunk of a replay, see
+:mod:`repro.sim.stream`) with the per-request work split into two phases:
 
 * **vectorized precompute** -- everything that is a pure function of the
   request stream and the immutable drive configuration is computed with
@@ -21,20 +21,22 @@ two phases:
   operation so the produced :class:`~repro.sim.engine.ReplayStats` is
   bitwise identical to the scalar path.
 
-The kernel refuses (returns a reason, and the engine falls back to the
+The kernel refuses (returns a reason, and the caller falls back to the
 exact scalar path) whenever its model could diverge from the scalar one:
 
 * numpy is not importable,
 * any drive's geometry has slipped/remapped defects,
 * any drive uses an out-of-order bus,
-* the replay starts from warm drive/cache state (``reset=False``),
 * any request crosses a shard boundary (fleet splitting), or
 * the trace exhibits *firmware-cache-sensitive reuse*: some read's start
-  LBN falls inside another read's cached-plus-readahead window, so the
-  scalar path could serve cache hits or prefetch streams the kernel does
-  not model.  The check is static and conservative (it ignores request
+  LBN falls inside another read's cached-plus-readahead window
+  (:func:`_cache_sensitive`, static and conservative: it ignores request
   ordering, LRU eviction and write invalidation, all of which only make
-  real hits less likely).
+  real hits less likely), or inside a segment or prefetch window the
+  cache already holds (:func:`warm_cache_clean`, which lets warm-state
+  continuations and later chunks of a stream keep the kernel), so the
+  scalar path could serve cache hits or prefetch streams the kernel does
+  not model.
 
 Requests that span multiple tracks are serviced through the drive's exact
 scalar code with state synced both ways (exactly like ``submit_batch``
@@ -53,13 +55,12 @@ policy hooks without matching kernel hooks returns
 
 On caching-enabled drives the kernel performs the same
 ``record_read``/``record_write`` cache bookkeeping as the scalar path
-(recording cannot change this replay's results -- the reuse gate
-guarantees no probe would hit), so the drive ends a kernel replay in
+(recording cannot change this replay's results -- the reuse gates
+guarantee no probe would hit), so the drive ends a kernel replay in
 exactly the state a scalar replay would leave, and warm-state
 continuations (``reset=False``) stay consistent whichever path serves
 them.
 """
-
 from __future__ import annotations
 
 import weakref
@@ -200,10 +201,10 @@ def warm_cache_clean(np, cache, lbns, is_read) -> bool:
     LBN lies inside a cached segment ``[s, e)`` or inside the prefetch
     window, which is always contained in
     ``[_prefetch_start, _prefetch_limit]`` (checked inclusively here, which
-    is conservative).  The chunked streaming path uses this dynamic gate --
-    together with the static :func:`_cache_sensitive` check for reuse within
-    the chunk itself -- to keep servicing later chunks through the kernel
-    after earlier chunks have warmed the cache.
+    is conservative).  Together with the static :func:`_cache_sensitive`
+    check for reuse within the stream itself, this dynamic gate keeps
+    warm-state continuations and later chunks of a stream on the kernel
+    after earlier requests have warmed the cache.
     """
     if not cache.enable_caching:
         return True
@@ -220,11 +221,11 @@ def warm_cache_clean(np, cache, lbns, is_read) -> bool:
     return not bool(hot.any())
 
 
-def fleet_eligibility(fleet: "LbnRangeShard", reset: bool) -> "str | None":
+def fleet_eligibility(fleet: "LbnRangeShard") -> "str | None":
     """Drive-level kernel refusal reason for ``fleet``, or None if eligible.
 
-    Shared by :func:`replay_kernel`, :func:`replay_kernel_sched` and the
-    chunked streaming path (:mod:`repro.sim.stream`).
+    Shared by :func:`replay_kernel_sched` and the streaming drivers
+    (:mod:`repro.sim.stream`).
     """
     for drive in fleet.drives:
         if getattr(drive, "faults", None) is not None:
@@ -235,10 +236,6 @@ def fleet_eligibility(fleet: "LbnRangeShard", reset: bool) -> "str | None":
             return "defective geometry"
         if not drive.bus.in_order:
             return "out-of-order bus"
-    if not reset:
-        for drive in fleet.drives:
-            if drive.cache.enable_caching and not drive.cache.is_pristine:
-                return "warm firmware cache (reset=False)"
     return None
 
 
@@ -291,6 +288,33 @@ def shard_split(np, fleet: "LbnRangeShard", lbns, counts, issue, is_read):
     for s in range(n_shards):
         mask = shard == s
         shard_cols.append((local[mask], counts[mask], issue[mask], is_read[mask]))
+    return shard_cols, None
+
+
+def eligible_shard_columns(
+    np, fleet: "LbnRangeShard", ordered: "Trace", warm: bool = True
+):
+    """Kernel-eligible per-shard columns of a trace in admission order.
+
+    Returns ``(shard_cols, None)`` as :func:`shard_split` does, or
+    ``(None, reason)`` from :func:`trace_columns`, :func:`shard_split` or
+    the cache gates: every read must be a guaranteed miss, both against the
+    other reads of its shard (:func:`_cache_sensitive`) and, with ``warm``,
+    against what the drive's cache holds now (:func:`warm_cache_clean`).  A
+    replay that resets the fleet before servicing passes ``warm=False``:
+    the caches it will run against are pristine.
+    """
+    columns, reason = trace_columns(np, fleet, ordered)
+    if reason is not None:
+        return None, reason
+    shard_cols, reason = shard_split(np, fleet, *columns)
+    if reason is not None:
+        return None, reason
+    for (lbns, counts, _issue, is_read), drive in zip(shard_cols, fleet.drives):
+        if _cache_sensitive(np, drive.cache, lbns, counts, is_read) or (
+            warm and not warm_cache_clean(np, drive.cache, lbns, is_read)
+        ):
+            return None, "firmware-cache-sensitive reuse"
     return shard_cols, None
 
 
@@ -685,9 +709,9 @@ def _service_shard_sched(
 ) -> "tuple[_ShardOutcome, int, float]":
     """Event-batched scheduled replay of one shard-local stream.
 
-    The scalar queue loops in :class:`~repro.sim.engine.TraceReplayEngine`
-    interleave admission (requests entering the pending queue) with
-    dispatch (the policy picking one and the drive servicing it).  Here
+    The scalar queue loops in :mod:`repro.sim.stream` interleave
+    admission (requests entering the pending queue) with dispatch (the
+    policy picking one and the drive servicing it).  Here
     every per-request quantity that does not depend on dispatch order is
     precomputed as a numpy column; the loop below keeps only the
     irreducible serial recurrence -- actuator/bus availability, head
@@ -1189,55 +1213,8 @@ def _service_shard_sched(
 
 
 # --------------------------------------------------------------------------- #
-# Whole-trace replay
+# Whole-trace scheduled replay
 # --------------------------------------------------------------------------- #
-
-def replay_kernel(
-    fleet: "LbnRangeShard", trace: "Trace", reset: bool = True
-) -> "tuple[ReplayStats | None, str | None]":
-    """Attempt a columnar replay of ``trace`` against ``fleet``.
-
-    Returns ``(stats, None)`` on success or ``(None, reason)`` when the
-    kernel is not applicable; the caller (the engine) falls back to the
-    scalar path.  Eligibility is decided before any fleet state is touched.
-    """
-    np = _numpy()
-    if np is None:
-        return None, "numpy unavailable"
-    if len(trace) == 0:
-        return None, "empty trace"
-    reason = fleet_eligibility(fleet, reset)
-    if reason is not None:
-        return None, reason
-
-    ordered = trace if trace.is_time_ordered() else trace.sorted_by_issue()
-    columns, reason = trace_columns(np, fleet, ordered)
-    if reason is not None:
-        return None, reason
-    lbns, counts, issue, is_read = columns
-    n = int(lbns.shape[0])
-
-    shard_cols, reason = shard_split(np, fleet, lbns, counts, issue, is_read)
-    if reason is not None:
-        return None, reason
-
-    for (s_lbns, s_counts, s_issue, s_read), drive in zip(shard_cols, fleet.drives):
-        if _cache_sensitive(np, drive.cache, s_lbns, s_counts, s_read):
-            return None, "firmware-cache-sensitive reuse"
-
-    # ---- committed: mirror the scalar replay()'s bookkeeping ----------- #
-    if reset:
-        fleet.reset()
-    before = fleet.combined_stats()
-    split_before = fleet.split_requests
-    fleet.routed_requests += n
-
-    outcomes: list[_ShardOutcome] = []
-    for (s_lbns, s_counts, s_issue, s_read), drive in zip(shard_cols, fleet.drives):
-        outcomes.append(_service_shard(np, drive, s_lbns, s_counts, s_issue, s_read))
-
-    return _aggregate_kernel(np, fleet, trace, outcomes, before, split_before), None
-
 
 def replay_kernel_sched(
     fleet: "LbnRangeShard",
@@ -1247,24 +1224,21 @@ def replay_kernel_sched(
     queue_depth: int = 1,
     think_ms: float = 0.0,
     reset: bool = True,
-    record_forced: bool = True,
 ) -> "tuple[ReplayStats | None, str | None]":
     """Attempt an event-batched scheduled replay of ``trace``.
 
-    The columnar counterpart of the engine's scalar queue loops
-    (``_replay_open_scheduled`` / ``_replay_closed_scheduled``): requests
-    are admitted to a pending queue (at trace timestamps in ``mode="open"``,
-    keeping up to ``queue_depth`` outstanding in ``mode="closed"``) and the
-    ``scheduler``'s vectorized ``kernel_select`` hook picks each dispatch
-    from precomputed geometry/score columns.  Returns ``(stats, None)`` on
-    success or ``(None, reason)`` when the kernel is not applicable, with
-    the same refusal vocabulary as :func:`replay_kernel` plus
-    ``"scheduler not kernel-vectorizable"`` for policies that override the
-    scalar hooks without matching kernel hooks.
-
-    ``record_forced`` controls whether ``extras["forced_dispatches"]`` is
-    recorded on the result; the classic closed FCFS depth-1 path leaves
-    extras empty, so its caller passes ``False`` to stay byte-identical.
+    The columnar counterpart of the scalar queue loops
+    (``_stream_open_scheduled`` / ``_stream_closed_scheduled`` in
+    :mod:`repro.sim.stream`): requests are admitted to a pending queue (at
+    trace timestamps in ``mode="open"``, keeping up to ``queue_depth``
+    outstanding in ``mode="closed"``) and the ``scheduler``'s vectorized
+    ``kernel_select`` hook picks each dispatch from precomputed
+    geometry/score columns.  Returns ``(stats, None)`` on success or
+    ``(None, reason)`` when the kernel is not applicable, with the kernel
+    refusal vocabulary (see the module docstring) plus ``"empty trace"``
+    and ``"scheduler not kernel-vectorizable"`` for policies that override
+    the scalar hooks without matching kernel hooks.  Eligibility is decided
+    before any fleet state is touched.
     """
     np = _numpy()
     if np is None:
@@ -1272,11 +1246,9 @@ def replay_kernel_sched(
     if len(trace) == 0:
         return None, "empty trace"
     from ..disksim.sched import kernel_fallback_reason
+    from .stream import _StreamAggregator
 
-    sched_reason = kernel_fallback_reason(scheduler)
-    if sched_reason is not None:
-        return None, sched_reason
-    reason = fleet_eligibility(fleet, reset)
+    reason = kernel_fallback_reason(scheduler) or fleet_eligibility(fleet)
     if reason is not None:
         return None, reason
 
@@ -1285,137 +1257,39 @@ def replay_kernel_sched(
     else:
         # Closed replay ignores timestamps and admits in raw trace order.
         ordered = trace
-    columns, reason = trace_columns(np, fleet, ordered)
+    shard_cols, reason = eligible_shard_columns(np, fleet, ordered, warm=not reset)
     if reason is not None:
         return None, reason
-    lbns, counts, issue, is_read = columns
-    n = int(lbns.shape[0])
-
-    shard_cols, reason = shard_split(np, fleet, lbns, counts, issue, is_read)
-    if reason is not None:
-        return None, reason
-
-    for (s_lbns, s_counts, s_issue, s_read), drive in zip(shard_cols, fleet.drives):
-        if _cache_sensitive(np, drive.cache, s_lbns, s_counts, s_read):
-            return None, "firmware-cache-sensitive reuse"
 
     # ---- committed: mirror the scalar queue loops' bookkeeping --------- #
     if reset:
         fleet.reset()
-    before = fleet.combined_stats()
-    split_before = fleet.split_requests
-    fleet.routed_requests += n
-
-    outcomes: list[_ShardOutcome] = []
+    agg = _StreamAggregator(fleet, mode)
+    agg.trace_requests = len(trace)
+    fleet.routed_requests += len(trace)
     forced = 0
-    for (s_lbns, s_counts, s_issue, s_read), drive in zip(shard_cols, fleet.drives):
+    for shard, ((s_lbns, s_counts, s_issue, s_read), drive) in enumerate(
+        zip(shard_cols, fleet.drives)
+    ):
         shard_sched = scheduler.clone()
         shard_sched.kernel_reset()
         outcome, shard_forced, _ = _service_shard_sched(
             np, drive, shard_sched, s_lbns, s_counts, s_issue, s_read,
             mode, queue_depth, think_ms,
         )
-        outcomes.append(outcome)
+        agg.add_kernel(shard, outcome)
         forced += shard_forced
 
-    stats = _aggregate_kernel(
-        np, fleet, trace, outcomes, before, split_before, mode=mode
-    )
-    if record_forced:
-        stats.extras["forced_dispatches"] = float(forced)
+    stats = agg.finalize()
+    stats.extras["forced_dispatches"] = float(forced)
     return stats, None
-
-
-def _aggregate_kernel(
-    np, fleet, trace, outcomes, before, split_before, mode: str = "open"
-) -> "ReplayStats":
-    """Mirror of :meth:`TraceReplayEngine._aggregate` over shard outcomes.
-
-    Summation order matches the scalar aggregate exactly (per-shard Python
-    ``sum`` over per-request columns, shards accumulated in order), so every
-    statistic is bitwise identical to the scalar path's.
-    """
-    from ..analysis.stats import summarize
-    from ..disksim.errors import RequestError
-    from .engine import ReplayStats
-
-    issued = sum(out.n for out in outcomes)
-    if issued == 0:
-        raise RequestError("cannot replay an empty trace")
-
-    responses: list[float] = []
-    breakdown = {
-        "seek_ms": 0.0,
-        "settle_ms": 0.0,
-        "rotational_latency_ms": 0.0,
-        "head_switch_ms": 0.0,
-        "media_transfer_ms": 0.0,
-        "bus_ms": 0.0,
-        "bus_overlap_ms": 0.0,
-        "busy_ms": 0.0,
-    }
-    start_ms = float("inf")
-    end_ms = float("-inf")
-    per_drive: list[dict[str, float]] = []
-    issue_arrays = []
-    completion_arrays = []
-    for out in outcomes:
-        if out.n:
-            issue_arr = np.asarray(out.issue, dtype=np.float64)
-            comp_arr = np.asarray(out.completions, dtype=np.float64)
-            responses.extend((comp_arr - issue_arr).tolist())
-            issue_arrays.append(issue_arr)
-            completion_arrays.append(comp_arr)
-            start_ms = min(start_ms, float(issue_arr.min()))
-            end_ms = max(end_ms, float(comp_arr.max()))
-        breakdown["seek_ms"] += sum(out.seek)
-        breakdown["settle_ms"] += sum(out.settle)
-        breakdown["rotational_latency_ms"] += out.latency_sum
-        breakdown["head_switch_ms"] += sum(out.head_switch)
-        breakdown["media_transfer_ms"] += sum(out.transfer)
-        breakdown["bus_ms"] += sum(out.bus)
-        breakdown["bus_overlap_ms"] += out.overlap_sum
-        breakdown["busy_ms"] += out.busy_sum
-        per_drive.append({"requests": float(out.n), "busy_ms": out.busy_sum})
-
-    combined = fleet.combined_stats()
-    span = max(0.0, end_ms - start_ms)
-    for entry in per_drive:
-        entry["utilization"] = entry["busy_ms"] / span if span > 0.0 else 0.0
-
-    # Peak outstanding: identical to the scalar event sweep -- for the k-th
-    # issue (sorted), outstanding = (k+1) - |completions <= issue_k|.
-    all_issues = np.sort(np.concatenate(issue_arrays))
-    all_completions = np.sort(np.concatenate(completion_arrays))
-    done_before = np.searchsorted(all_completions, all_issues, side="right")
-    outstanding = np.arange(1, all_issues.shape[0] + 1) - done_before
-    peak = int(outstanding.max())
-
-    return ReplayStats(
-        trace_requests=len(trace),
-        issued_requests=issued,
-        split_requests=fleet.split_requests - split_before,
-        reads=combined.reads - before.reads,
-        writes=combined.writes - before.writes,
-        cache_hits=combined.cache_hits - before.cache_hits,
-        streamed=combined.streamed - before.streamed,
-        sectors=(combined.sectors_read + combined.sectors_written)
-        - (before.sectors_read + before.sectors_written),
-        start_ms=start_ms,
-        end_ms=end_ms,
-        response=summarize(responses),
-        breakdown=breakdown,
-        per_drive=per_drive,
-        peak_outstanding=peak,
-        mode=mode,
-    )
 
 
 __all__ = [
     "clear_kernel_tables",
+    "eligible_shard_columns",
     "fleet_eligibility",
     "geometry_tables",
-    "replay_kernel",
     "replay_kernel_sched",
     "seek_table",
     "seek_table_list",

@@ -1,4 +1,4 @@
-"""Chunked/streaming trace replay: bounded-memory input for the engine.
+"""The replay core: every trace replay runs here, as a stream of chunks.
 
 A :class:`TraceStream` is a lazy sequence of bounded columnar
 :class:`~repro.sim.trace.Trace` chunks sharing one global timeline.  The
@@ -9,6 +9,12 @@ boundaries -- so the returned :class:`~repro.sim.engine.ReplayStats` is
 **bitwise identical** to a one-shot replay of the concatenated trace, while
 memory stays proportional to the chunk size (plus two 8-byte floats per
 request for the response/outstanding statistics).
+
+A one-shot replay (:meth:`TraceReplayEngine.replay` /
+:meth:`TraceReplayEngine.replay_closed`, served by :func:`replay_once`) is
+a one-chunk stream through the same drivers, and every replay -- one-shot
+or streamed, kernel or scalar -- folds its results through the one
+aggregator here, :class:`_StreamAggregator`.
 
 Path selection per replay discipline:
 
@@ -30,8 +36,13 @@ Path selection per replay discipline:
   one-shot replay are then admitted first here too).
 * **closed non-FCFS or depth > 1** -- exact scalar persistent-queue
   streaming; admissions owed at a chunk boundary are performed before the
-  next dispatch, so the queue always holds exactly what the one-shot loop
-  would hold.
+  next dispatch, so the queue always holds exactly what an unchunked
+  replay's would hold.
+
+The scheduled kernel cannot carry a pending queue across chunks, so a
+scheduled replay uses it only one-shot: :func:`replay_once` tries
+:func:`repro.sim.kernel.replay_kernel_sched` on the whole trace before its
+one chunk takes the scalar queue loop.
 
 The open-loop **service scenario** (:func:`run_service`) replays an
 arrival-process stream against an LBN-sharded fleet and reports
@@ -174,7 +185,7 @@ class TraceStream:
 
 
 # --------------------------------------------------------------------------- #
-# Streaming aggregation (bitwise mirror of the one-shot aggregates)
+# Aggregation
 # --------------------------------------------------------------------------- #
 
 class _ShardAgg:
@@ -182,8 +193,8 @@ class _ShardAgg:
 
     Only ``issues``/``completions`` grow with the stream (8 bytes per
     request each); every per-request timing column is folded into its
-    running sum as chunks complete, continuing the exact left fold the
-    one-shot aggregates compute (``sum(column)`` per shard)."""
+    running sum as chunks complete, continuing one exact left fold over
+    the shard's requests in service order, whatever the chunking."""
 
     __slots__ = (
         "issues", "completions", "requests", "seek", "settle", "latency",
@@ -207,16 +218,18 @@ class _ShardAgg:
 class _StreamAggregator:
     """Accumulates chunk results into one bitwise-exact ``ReplayStats``.
 
-    Mirrors ``TraceReplayEngine._aggregate`` / ``_aggregate_kernel``: every
-    float statistic is a left fold in the exact order the one-shot
-    aggregates fold it (per-request within a shard, shards in order), so the
-    finalized stats are bitwise identical to a one-shot replay."""
+    The only builder of :class:`~repro.sim.engine.ReplayStats`: one-shot
+    and streamed replays, kernel and scalar chunks all fold through it.
+    Every float statistic is a left fold in one fixed order (per-request
+    within a shard, shards in order), so the finalized stats do not depend
+    on the chunking or on which path served each chunk."""
 
     def __init__(self, fleet: "LbnRangeShard", mode: str) -> None:
         self.fleet = fleet
         self.mode = mode
         self.shards = [_ShardAgg() for _ in fleet.drives]
-        # Counter deltas: snapshot after reset, like the one-shot paths.
+        # Counter deltas: snapshot after reset, so a warm-state replay
+        # (reset=False) still describes only its own trace.
         self.before = fleet.combined_stats()
         self.split_before = fleet.split_requests
         self.fault_before = fleet_fault_extras(fleet)
@@ -493,9 +506,8 @@ def _as_stream(chunks, require_ordered: bool) -> TraceStream:
 def _kernel_gate(engine: "TraceReplayEngine"):
     """Stream-wide kernel availability: ``(np, reason)``.
 
-    The warm-cache refusal of the one-shot kernels is deliberately *not*
-    checked here -- chunk continuation runs with warm caches by design and
-    guards each chunk with the dynamic ``warm_cache_clean`` gate instead.
+    Cache state is not checked here: each chunk is guarded by the dynamic
+    gates of :func:`repro.sim.kernel.eligible_shard_columns` instead.
     """
     from .kernel import fleet_eligibility
 
@@ -504,40 +516,10 @@ def _kernel_gate(engine: "TraceReplayEngine"):
     np = _numpy()
     if np is None:
         return None, "numpy unavailable"
-    reason = fleet_eligibility(engine.fleet, True)
+    reason = fleet_eligibility(engine.fleet)
     if reason is not None:
         return None, reason
     return np, None
-
-
-def _chunk_shard_columns(np, fleet: "LbnRangeShard", chunk: "Trace"):
-    """Kernel-eligible per-shard columns for one chunk, or a refusal.
-
-    Mirrors the one-shot kernels' per-trace validation, plus the dynamic
-    warm-cache gate that lets later chunks keep using the kernel after
-    earlier chunks warmed the firmware caches."""
-    from .kernel import (
-        _cache_sensitive,
-        shard_split,
-        trace_columns,
-        warm_cache_clean,
-    )
-
-    columns, reason = trace_columns(np, fleet, chunk)
-    if reason is not None:
-        return None, reason
-    lbns, counts, issue, is_read = columns
-    shard_cols, reason = shard_split(np, fleet, lbns, counts, issue, is_read)
-    if reason is not None:
-        return None, reason
-    for (s_lbns, s_counts, s_issue, s_read), drive in zip(
-        shard_cols, fleet.drives
-    ):
-        if _cache_sensitive(np, drive.cache, s_lbns, s_counts, s_read):
-            return None, "firmware-cache-sensitive reuse"
-        if not warm_cache_clean(np, drive.cache, s_lbns, s_read):
-            return None, "firmware-cache-sensitive reuse"
-    return shard_cols, None
 
 
 def _finish(engine, agg, kernel_chunks, scalar_chunks, kernel_path, reason):
@@ -560,7 +542,7 @@ def _stream_open_fcfs(
 ):
     """Open FCFS streaming: per-chunk kernel service with fold carry,
     per-chunk scalar ``submit_batch`` fallback (bitwise-safe mixing)."""
-    from .kernel import _service_shard
+    from .kernel import _service_shard, eligible_shard_columns
 
     fleet = engine.fleet
     if reset:
@@ -571,7 +553,7 @@ def _stream_open_fcfs(
     for chunk in _counted(agg, stream):
         shard_cols = None
         if np is not None:
-            shard_cols, reason = _chunk_shard_columns(np, fleet, chunk)
+            shard_cols, reason = eligible_shard_columns(np, fleet, chunk)
             if shard_cols is None and first_refusal is None:
                 first_refusal = reason
         if shard_cols is not None:
@@ -624,9 +606,10 @@ def _stream_closed_fcfs(
 ):
     """Closed FCFS depth-1 (onereq) streaming with a carried per-shard
     clock; kernel chunks via the scheduled kernel, scalar chunks via the
-    exact per-shard sequential loop (the event heap of the one-shot path
-    only interleaves shards and cannot change per-shard results)."""
-    from .kernel import _service_shard_sched
+    exact per-shard sequential loop.  Shards share no state (each drive
+    has its own fault RNG and spare), so serving them one after another
+    gives the same per-shard results as any fleet-wide interleaving."""
+    from .kernel import _service_shard_sched, eligible_shard_columns
 
     fleet = engine.fleet
     if reset:
@@ -638,7 +621,7 @@ def _stream_closed_fcfs(
     for chunk in _counted(agg, stream):
         shard_cols = None
         if np is not None:
-            shard_cols, reason = _chunk_shard_columns(np, fleet, chunk)
+            shard_cols, reason = eligible_shard_columns(np, fleet, chunk)
             if shard_cols is None and first_refusal is None:
                 first_refusal = reason
         if shard_cols is not None:
@@ -694,13 +677,15 @@ def _stream_open_scheduled(
     """Open scheduled streaming: exact scalar queue loops with persistent
     per-drive schedulers and one-chunk lookahead.
 
-    The one-shot loop (``_replay_open_scheduled``) admits every request
-    that has arrived by each dispatch decision.  Streaming defers any
-    decision at or beyond the next chunk's first timestamp (``horizon``)
-    until that chunk has been buffered: recomputing the decision time after
-    appending rows provably yields the same value (the pending queue and
-    the buffer head are unchanged), so admission sets -- and therefore
-    dispatch order -- match the one-shot loop exactly."""
+    Requests are *admitted* at their trace timestamps but *dispatched* by
+    the scheduler: whenever a drive's mechanism is ready for its next
+    access, every request that has arrived by that instant is a candidate
+    and the policy picks one.  Streaming defers any decision at or beyond
+    the next chunk's first timestamp (``horizon``) until that chunk has
+    been buffered: recomputing the decision time after appending rows
+    provably yields the same value (the pending queue and the buffer head
+    are unchanged), so admission sets -- and therefore dispatch order --
+    match a one-chunk replay of the whole trace exactly."""
     fleet = engine.fleet
     if reset:
         fleet.reset()
@@ -784,11 +769,13 @@ def _stream_closed_scheduled(
     """Closed scheduled streaming (non-FCFS policy or depth > 1): exact
     scalar queue loops with persistent per-drive schedulers.
 
-    The one-shot loop (``_replay_closed_scheduled``) alternates dispatch
-    and admission strictly after the initial depth-filling phase.  At a
-    chunk boundary the loop breaks *before* the next dispatch whenever an
-    admission is owed but the row lives in a later chunk, so the pending
-    queue always holds exactly what the one-shot loop would hold."""
+    Each drive keeps up to ``queue_depth`` requests outstanding: the first
+    ``queue_depth`` are admitted at time zero and every completion admits
+    the next one (plus ``think_ms``), so dispatch and admission alternate
+    strictly after the initial depth-filling phase.  At a chunk boundary
+    the loop breaks *before* the next dispatch whenever an admission is
+    owed but the row lives in a later chunk, so the pending queue always
+    holds exactly what a one-chunk replay of the whole trace would hold."""
     fleet = engine.fleet
     if reset:
         fleet.reset()
@@ -874,10 +861,78 @@ def _stream_closed_scheduled(
     return stats, agg
 
 
-def _dispatch_open(engine: "TraceReplayEngine", stream: TraceStream, reset: bool):
-    if engine.scheduler_name != "fcfs":
-        return _stream_open_scheduled(engine, stream, reset)
-    return _stream_open_fcfs(engine, stream, reset)
+def _scheduled(engine: "TraceReplayEngine", mode: str) -> bool:
+    """Whether ``engine`` replays ``mode`` through the pending-queue loops
+    (a non-FCFS policy, or a closed queue deeper than one)."""
+    return engine.scheduler_name != "fcfs" or (
+        mode == "closed" and engine.queue_depth > 1
+    )
+
+
+def _drive(
+    engine: "TraceReplayEngine",
+    stream: TraceStream,
+    mode: str,
+    think_ms: float,
+    reset: bool,
+):
+    """Run ``stream`` through the driver for ``engine``'s discipline;
+    returns ``(stats, aggregator)``."""
+    if mode == "open":
+        if _scheduled(engine, mode):
+            return _stream_open_scheduled(engine, stream, reset)
+        return _stream_open_fcfs(engine, stream, reset)
+    if _scheduled(engine, mode):
+        return _stream_closed_scheduled(engine, stream, think_ms, reset)
+    return _stream_closed_fcfs(engine, stream, think_ms, reset)
+
+
+def replay_once(
+    engine: "TraceReplayEngine",
+    trace: "Trace",
+    mode: str,
+    think_ms: float,
+    reset: bool,
+) -> "ReplayStats":
+    """One-shot replay (see :meth:`TraceReplayEngine.replay` and
+    :meth:`TraceReplayEngine.replay_closed`): ``trace`` as a one-chunk
+    stream.
+
+    A NaN or negative timestamp raises :class:`ConfigError`.  A scheduled
+    replay first tries the event-batched scheduled kernel on the whole
+    trace; on refusal its one chunk runs through the exact scalar queue
+    loop, and the kernel's refusal reason is reported.
+    """
+    # Check the timestamps before sorting, so an error names the index in
+    # the caller's trace.
+    list(TraceStream([trace], require_ordered=False))
+    if mode == "open" and not trace.is_time_ordered():
+        trace = trace.sorted_by_issue()
+    stream = TraceStream([trace], validate=False)
+    if not _scheduled(engine, mode):
+        stats, _agg = _drive(engine, stream, mode, think_ms, reset)
+        return stats
+    if engine.fast is not None and not engine.fast:
+        reason = "fast disabled"
+    else:
+        from .kernel import replay_kernel_sched
+
+        stats, reason = replay_kernel_sched(
+            engine.fleet,
+            trace,
+            engine.scheduler,
+            mode=mode,
+            queue_depth=engine.queue_depth,
+            think_ms=think_ms,
+            reset=reset,
+        )
+        if stats is not None:
+            engine.last_replay_path = "kernel_sched"
+            engine.last_fast_reason = "ok"
+            return stats
+    stats, _agg = _drive(engine, stream, mode, think_ms, reset)
+    engine.last_fast_reason = reason
+    return stats
 
 
 def replay_stream(
@@ -885,7 +940,7 @@ def replay_stream(
 ) -> "ReplayStats":
     """Open streaming replay (see :meth:`TraceReplayEngine.replay_stream`)."""
     stream = _as_stream(chunks, require_ordered=True)
-    stats, _agg = _dispatch_open(engine, stream, reset)
+    stats, _agg = _drive(engine, stream, "open", 0.0, reset)
     return stats
 
 
@@ -898,10 +953,7 @@ def replay_closed_stream(
     """Closed streaming replay (see
     :meth:`TraceReplayEngine.replay_closed_stream`)."""
     stream = _as_stream(chunks, require_ordered=False)
-    if engine.scheduler_name != "fcfs" or engine.queue_depth > 1:
-        stats, _agg = _stream_closed_scheduled(engine, stream, think_ms, reset)
-    else:
-        stats, _agg = _stream_closed_fcfs(engine, stream, think_ms, reset)
+    stats, _agg = _drive(engine, stream, "closed", think_ms, reset)
     return stats
 
 
@@ -1025,7 +1077,7 @@ def run_service(
     if queue_samples <= 0:
         raise ConfigError("queue_samples must be positive")
     stream = _as_stream(chunks, require_ordered=True)
-    stats, agg = _dispatch_open(engine, stream, reset)
+    stats, agg = _drive(engine, stream, "open", 0.0, reset)
     fleet = engine.fleet
 
     # ---- SLO violations ------------------------------------------------ #

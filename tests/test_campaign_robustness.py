@@ -63,18 +63,24 @@ class TestProcessExecutorRobustness:
     def test_innocent_points_survive_a_crashing_sibling(self, tmp_path):
         # crash_once kills whichever worker picks it up; the echo items
         # sharing the wave must still complete (retried if collateral).
+        # Their markers exist up front, so they never crash themselves.
         executor = ProcessExecutor(3, retries=2, backoff_s=0.0)
         marker = tmp_path / "sibling-crash"
+        innocent = [tmp_path / "innocent-a", tmp_path / "innocent-b"]
+        for path in innocent:
+            path.write_text("never crashes")
         items = [
             {"marker": str(marker)},
-            {"marker": str(tmp_path / "absent-a"), "echo": 1},
-            {"marker": str(tmp_path / "absent-b"), "echo": 2},
+            {"marker": str(innocent[0]), "echo": 1},
+            {"marker": str(innocent[1]), "echo": 2},
         ]
         out = executor.map(helpers.crash_once, items)
-        assert out[0] == {"ok": True, "survived": str(marker)}
-        # every slot produced a payload -- no point was silently lost even
-        # though the crashing sibling took the whole pool down mid-wave
-        assert all(isinstance(payload, dict) for payload in out)
+        # every slot produced its payload -- no point was silently lost (or
+        # turned into a failure record) even though the crashing sibling
+        # took the whole pool down mid-wave
+        assert out == [
+            {"ok": True, "survived": str(path)} for path in [marker, *innocent]
+        ]
 
     def test_exhausted_retries_become_structured_failure(self):
         executor = ProcessExecutor(1, retries=1, backoff_s=0.0)

@@ -25,8 +25,9 @@ from repro.api import DriveConfig, FleetConfig, build_drive, build_fleet, stripe
 from repro.api.factory import clear_drive_build_cache
 from repro.disksim import DiskDrive, DiskGeometry, small_test_specs
 from repro.disksim.cache import FirmwareCache
+from repro.disksim.sched import make_scheduler
 from repro.sim import LbnRangeShard, Trace, TraceReplayEngine
-from repro.sim.kernel import replay_kernel
+from repro.sim.kernel import replay_kernel_sched
 
 SMALL = dict(cylinders_per_zone=12, num_zones=3)
 
@@ -281,18 +282,37 @@ def test_sequential_readahead_stream_refuses_fast_path():
 
 
 def test_warm_cache_refuses_fast_path():
-    drive = caching_drive()
-    trace = spaced_aligned_trace(drive)
-    engine = TraceReplayEngine(drive, fast=True)
-    engine.replay(trace)
-    assert engine.last_replay_path == "kernel"
-    # Re-replaying without reset on a warm cache is not kernel territory.
-    warm_trace = spaced_aligned_trace(drive, stride=11, seed=8)
-    # Seed the cache through the scalar interface first.
-    drive.read(0, 8, 10.0)
-    engine.replay(warm_trace, reset=False)
-    assert engine.last_replay_path == "scalar"
-    assert engine.last_fast_reason == "warm firmware cache (reset=False)"
+    """Without reset the kernel checks every read against what the warm
+    cache holds: a continuation whose reads all miss keeps the kernel and
+    matches the scalar path bitwise, a re-read of cached LBNs is refused."""
+    trace = spaced_aligned_trace(caching_drive())
+    geometry = caching_drive().geometry
+    # Whole tracks 5 past each of trace's (every 9th) tracks: outside every
+    # cached track and the readahead window behind it.
+    misses = Trace()
+    for i, track in enumerate(range(5, geometry.num_tracks, 9)):
+        first, count = geometry.track_bounds(track)
+        misses.append(1000.0 + i, first, count, "read")
+    rereads = Trace(
+        [t + 1000.0 for t in trace.issue_ms[-8:]],
+        trace.lbns[-8:],
+        trace.counts[-8:],
+        trace.ops[-8:],
+    )
+    for warm_trace, path, reason in (
+        (misses, "kernel", "ok"),
+        (rereads, "scalar", "firmware-cache-sensitive reuse"),
+    ):
+        scalar_engine = TraceReplayEngine(caching_drive(), fast=False)
+        scalar_engine.replay(trace)
+        scalar = scalar_engine.replay(warm_trace, reset=False)
+        assert (scalar.cache_hits > 0) == (path == "scalar")
+        engine = TraceReplayEngine(caching_drive(), fast=True)
+        engine.replay(trace)
+        assert engine.last_replay_path == "kernel"
+        fast = engine.replay(warm_trace, reset=False)
+        assert (engine.last_replay_path, engine.last_fast_reason) == (path, reason)
+        assert fast.to_dict() == scalar.to_dict()
 
 
 def test_fast_false_pins_scalar_path():
@@ -328,12 +348,12 @@ def test_out_of_order_bus_refuses_fast_path():
     assert engine.last_fast_reason == "out-of-order bus"
 
 
-def test_replay_kernel_reports_reason_without_mutating_fleet():
+def test_replay_kernel_sched_reports_reason_without_mutating_fleet():
     drive = caching_drive()
     fleet = LbnRangeShard([drive])
     first, count = drive.geometry.track_bounds(0)
     trace = Trace.from_records([(0.0, first, count, "read")] * 5)
-    stats, reason = replay_kernel(fleet, trace)
+    stats, reason = replay_kernel_sched(fleet, trace, make_scheduler("sptf"))
     assert stats is None
     assert reason == "firmware-cache-sensitive reuse"
     assert drive.stats.requests == 0  # eligibility never touches the fleet

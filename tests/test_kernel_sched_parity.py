@@ -13,8 +13,9 @@ and requires ``ReplayStats.to_dict()`` equality, which covers every float
 * bursts larger than ``KERNEL_SMALL_QUEUE`` (numpy scoring hooks),
 * starvation-bound forced dispatches,
 * deterministic sequence tie-breaking on duplicate LBNs,
-* multi-drive fleets, FCFS depth-1 (classic onereq), and every
-  honest-fallback reason (numpy absent, custom scheduler, warm cache).
+* multi-drive fleets, FCFS depth-1 (classic onereq), every
+  honest-fallback reason (numpy absent, custom scheduler), and warm-cache
+  continuations (kept on the kernel when every read misses).
 
 The suite is dual-mode: with numpy installed the fast side runs through
 ``kernel_sched``; without numpy it honestly degrades to the scalar loop
@@ -28,6 +29,7 @@ import random
 
 import pytest
 
+from _numpy_gate import HAVE_NUMPY, needs_numpy
 from repro.disksim import DiskDrive, FirmwareCache, small_test_specs
 from repro.disksim.sched import KERNEL_SMALL_QUEUE, Scheduler
 from repro.sim import Trace, TraceReplayEngine
@@ -108,20 +110,9 @@ def replay_both(
     return payloads[0], payloads[1], engines[0]
 
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
-
 #: What the fast side reports: the kernel with numpy, honest scalar without.
 FAST_PATH = "kernel_sched" if HAVE_NUMPY else "scalar"
 FAST_REASON = "ok" if HAVE_NUMPY else "numpy unavailable"
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="refusal ordering requires the kernel to engage"
-)
 
 
 # --------------------------------------------------------------------------- #
@@ -291,12 +282,40 @@ def test_custom_scheduler_subclass_is_refused_honestly():
 
 @needs_numpy
 def test_warm_cache_state_is_refused():
-    # A caching drive that has already served requests cannot be replayed
-    # by the kernel without reset: firmware cache state is history.
-    drive = DiskDrive(small_test_specs(**SMALL))
-    trace = random_trace(drive, n=40, seed=11)
-    engine = TraceReplayEngine(drive, scheduler="sstf", queue_depth=4, fast=True)
-    engine.replay_closed(trace, think_ms=0.0)
-    engine.replay_closed(trace, think_ms=0.0, reset=False)
-    assert engine.last_replay_path == "scalar"
-    assert engine.last_fast_reason == "warm firmware cache (reset=False)"
+    # Without reset, the kernel checks every read against what the warm
+    # firmware cache holds: a continuation whose reads all miss keeps the
+    # kernel and matches the scalar loop bitwise, and a re-read of cached
+    # LBNs is refused.
+    geometry = DiskDrive(small_test_specs(**SMALL)).geometry
+
+    def whole_tracks(tracks) -> Trace:
+        trace = Trace()
+        for i, track in enumerate(tracks):
+            first, count = geometry.track_bounds(track)
+            trace.append(float(i), first, count, "read")
+        return trace
+
+    # Every 9th track; the misses sit 5 tracks past each one, outside the
+    # readahead window behind it.
+    warm_up = whole_tracks(range(0, geometry.num_tracks, 9))
+    misses = whole_tracks(range(5, geometry.num_tracks, 9))
+    for continuation, path, reason in (
+        (misses, "kernel_sched", "ok"),
+        (warm_up, "scalar", "firmware-cache-sensitive reuse"),
+    ):
+        engines, payloads = [], []
+        for fast in (True, False):
+            engine = TraceReplayEngine(
+                DiskDrive(small_test_specs(**SMALL)),
+                scheduler="sstf", queue_depth=4, fast=fast,
+            )
+            engine.replay_closed(warm_up, think_ms=0.0)
+            stats = engine.replay_closed(continuation, think_ms=0.0, reset=False)
+            engines.append(engine)
+            payloads.append(stats.to_dict())
+        fast_engine = engines[0]
+        assert (fast_engine.last_replay_path, fast_engine.last_fast_reason) == (
+            path, reason
+        )
+        assert (payloads[1]["cache_hits"] > 0) == (path == "scalar")
+        assert payloads[0] == payloads[1]

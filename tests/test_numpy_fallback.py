@@ -24,11 +24,10 @@ from repro.sim import Trace, TraceReplayEngine
 SMALL = dict(cylinders_per_zone=12, num_zones=3)
 
 
-@pytest.fixture()
-def no_numpy(monkeypatch):
+def block_numpy(monkeypatch) -> list[str]:
     """Make numpy unimportable and reset the module-level import cache.
 
-    Yields the list of blocked import attempts so tests can assert the
+    Returns the list of blocked import attempts so tests can assert the
     import is tried exactly once per process, not once per batch.
     """
     from repro.disksim import geometry as geometry_module
@@ -46,7 +45,15 @@ def no_numpy(monkeypatch):
         geometry_module, "_NUMPY_CACHE", geometry_module._NUMPY_UNRESOLVED
     )
     monkeypatch.setattr(builtins, "__import__", blocked_import)
-    yield attempts
+    return attempts
+
+
+@pytest.fixture()
+def no_numpy(monkeypatch):
+    """:func:`block_numpy` for the whole test; yields the attempts list."""
+    from repro.disksim import geometry as geometry_module
+
+    yield block_numpy(monkeypatch)
     # Leave the cache unresolved so the next caller re-imports real numpy.
     geometry_module._NUMPY_CACHE = geometry_module._NUMPY_UNRESOLVED
 
@@ -72,21 +79,36 @@ def test_translate_batch_degrades_with_single_warning(no_numpy):
     assert len(no_numpy) == 1
 
 
-def test_replay_degrades_to_scalar_without_numpy(no_numpy):
-    drive = DiskDrive(small_test_specs(**SMALL))
+#: An open replay, a closed depth-1 replay and an SPTF depth-4 replay.
+REPLAYS = [("open", {}), ("closed", {}), ("closed", {"scheduler": "sptf", "queue_depth": 4})]
+
+
+def replay(trace: Trace, mode: str, options: dict):
+    engine = TraceReplayEngine(DiskDrive(small_test_specs(**SMALL)), fast=True, **options)
+    if mode == "open":
+        return engine, engine.replay(trace)
+    return engine, engine.replay_closed(trace)
+
+
+def test_replay_degrades_to_scalar_without_numpy(monkeypatch):
+    total_lbns = DiskGeometry(small_test_specs(**SMALL)).total_lbns
     rng = random.Random(7)
     trace = Trace()
     for i in range(50):
-        trace.append(i * 1.0, rng.randrange(0, drive.geometry.total_lbns - 64),
+        trace.append(i * 1.0, rng.randrange(0, total_lbns - 64),
                      rng.randint(1, 64), "read")
-    engine = TraceReplayEngine(drive, fast=True)
+    # Without numpy, the aggregator's pure-Python folds build every
+    # ReplayStats: each must equal the numpy run's bitwise.
+    with_numpy = [replay(trace, mode, options)[1].to_dict() for mode, options in REPLAYS]
+    attempts = block_numpy(monkeypatch)
     with pytest.warns(RuntimeWarning, match="numpy is not installed"):
-        stats = engine.replay(trace)
+        engine, stats = replay(trace, *REPLAYS[0])
     assert engine.last_replay_path == "scalar"
     assert engine.last_fast_reason == "numpy unavailable"
     assert stats.issued_requests == len(trace)
-    # A second replay goes straight to the scalar path: no new attempt.
+    # Later replays go straight to the scalar path: no new attempt.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        engine.replay(trace)
-    assert len(no_numpy) == 1
+        without_numpy = [replay(trace, mode, options)[1].to_dict() for mode, options in REPLAYS]
+    assert len(attempts) == 1
+    assert without_numpy == with_numpy

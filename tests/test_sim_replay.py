@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 from repro.analysis.stats import percentile, percentiles, summarize
 from repro.disksim import DiskDrive, DiskGeometry, DiskRequest, RequestError
+from repro.disksim.errors import ConfigError
 from repro.sim import LbnRangeShard, Trace, TraceReplayEngine, TraceRecordingDrive
 from repro.workloads import Postmark, PostmarkConfig, filebench_to_trace, synthetic_to_trace
 from repro.workloads.synthetic import RandomWorkloadSpec
@@ -318,6 +320,27 @@ def test_replay_stats_shape(medium_specs):
 def test_empty_trace_rejected(small_drive):
     with pytest.raises(RequestError):
         TraceReplayEngine(small_drive).replay(Trace())
+
+
+@pytest.mark.parametrize("mode", ["open", "closed"])
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        pytest.param(math.nan, r"NaN timestamp at request #2", id="nan"),
+        pytest.param(-5.0, r"negative timestamp -5\.0 at request #2", id="negative"),
+    ],
+)
+def test_malformed_timestamps_fail_loudly(small_drive, mode, bad, message):
+    # The index is the row's position in the caller's (unsorted) trace,
+    # checked before open replay sorts it; closed replay ignores timestamps
+    # but still rejects malformed ones.
+    trace = Trace.from_records(
+        [(4.0, 0, 8, "read"), (1.0, 64, 8, "read"), (bad, 128, 8, "read"), (2.0, 256, 8, "write")]
+    )
+    engine = TraceReplayEngine(small_drive)
+    replay = engine.replay if mode == "open" else engine.replay_closed
+    with pytest.raises(ConfigError, match=message):
+        replay(trace)
 
 
 # --------------------------------------------------------------------------- #

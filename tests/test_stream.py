@@ -4,8 +4,8 @@ raw-trace import, and the open-loop storage-service scenario.
 The heart of this file is the bitwise parity suite: streamed replay of any
 chunking of a trace must produce a ``ReplayStats`` payload *identical* to
 the one-shot replay of that trace -- across open/closed modes, FCFS and
-reordering schedulers, single drives and sharded fleets, kernel and scalar
-chunk paths.
+reordering schedulers, single drives and sharded fleets, fault schedules,
+kernel and scalar chunk paths.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from _numpy_gate import needs_numpy
 from repro.api import (
     ResultStore,
     Scenario,
@@ -26,6 +27,12 @@ from repro.api import (
 from repro.api.cli import main as cli_main
 from repro.disksim import DiskDrive, small_test_specs
 from repro.disksim.errors import ConfigError, RequestError
+from repro.faults import (
+    DriveFaultConfig,
+    FaultConfig,
+    TransientFaultConfig,
+    attach_fleet_faults,
+)
 from repro.sim import (
     LbnRangeShard,
     Trace,
@@ -45,18 +52,50 @@ from repro.workloads.arrivals import (
 
 SAMPLE_BLKTRACE = "examples/sample.blktrace"
 
+#: Seeded fault schedules for a 3-drive fleet.
+FAULTS = {
+    "transient": FaultConfig(
+        seed=3,
+        drives={
+            index: DriveFaultConfig(
+                transient=TransientFaultConfig(probability=0.2, max_retries=2)
+            )
+            for index in range(3)
+        },
+    ),
+    "fail-stop": FaultConfig(
+        seed=3, drives={1: DriveFaultConfig(fail_stop_ms=20.0, spare=True)}
+    ),
+}
+
+#: Fleet sizes for the parity tests, plus the 3-drive fleet under each
+#: fault schedule.
+FLEETS = [
+    pytest.param(1, None, id="1"),
+    pytest.param(3, None, id="3"),
+    pytest.param(3, "transient", id="3-transient"),
+    pytest.param(3, "fail-stop", id="3-fail-stop"),
+]
+
 
 # --------------------------------------------------------------------------- #
 # Builders
 # --------------------------------------------------------------------------- #
 
-def build_fleet(n_drives: int, caching: bool = True) -> LbnRangeShard:
+def build_fleet(
+    n_drives: int, caching: bool = True, faults: str | None = None
+) -> LbnRangeShard:
     drives = []
     for _ in range(n_drives):
         drive = DiskDrive(small_test_specs())
         drive.cache.enable_caching = caching
         drives.append(drive)
-    return LbnRangeShard(drives)
+    fleet = LbnRangeShard(drives)
+    if faults is not None:
+        attach_fleet_faults(
+            fleet, FAULTS[faults], spare_factory=lambda: DiskDrive(small_test_specs())
+        )
+    return fleet
 
 
 def build_trace(fleet: LbnRangeShard, n_requests: int, seed: int) -> Trace:
@@ -153,11 +192,11 @@ def test_stream_scalar_validation_without_numpy(monkeypatch):
 # Bitwise streaming parity
 # --------------------------------------------------------------------------- #
 
-@pytest.mark.parametrize("n_drives", [1, 3])
+@pytest.mark.parametrize("n_drives,faults", FLEETS)
 @pytest.mark.parametrize("policy", ["fcfs", "sptf"])
 @pytest.mark.parametrize("chunk_requests", [1, 37, 5000])
-def test_stream_parity_open(n_drives, policy, chunk_requests):
-    fleet = build_fleet(n_drives)
+def test_stream_parity_open(n_drives, faults, policy, chunk_requests):
+    fleet = build_fleet(n_drives, faults=faults)
     trace = build_trace(fleet, 300, seed=11)
     engine = TraceReplayEngine(fleet, scheduler=policy)
     reference = engine.replay(trace)
@@ -165,11 +204,11 @@ def test_stream_parity_open(n_drives, policy, chunk_requests):
     assert streamed.to_dict() == reference.to_dict()
 
 
-@pytest.mark.parametrize("n_drives", [1, 3])
+@pytest.mark.parametrize("n_drives,faults", FLEETS)
 @pytest.mark.parametrize("policy,depth", [("fcfs", 1), ("fcfs", 4), ("sptf", 4)])
 @pytest.mark.parametrize("chunk_requests", [1, 37, 5000])
-def test_stream_parity_closed(n_drives, policy, depth, chunk_requests):
-    fleet = build_fleet(n_drives)
+def test_stream_parity_closed(n_drives, faults, policy, depth, chunk_requests):
+    fleet = build_fleet(n_drives, faults=faults)
     trace = build_trace(fleet, 300, seed=13)
     engine = TraceReplayEngine(fleet, scheduler=policy, queue_depth=depth)
     reference = engine.replay_closed(trace, think_ms=0.2)
@@ -179,6 +218,7 @@ def test_stream_parity_closed(n_drives, policy, depth, chunk_requests):
     assert streamed.to_dict() == reference.to_dict()
 
 
+@needs_numpy
 @pytest.mark.parametrize("mode", ["open", "closed"])
 @pytest.mark.parametrize("n_drives", [1, 3])
 def test_stream_parity_kernel_path(mode, n_drives):
@@ -199,6 +239,7 @@ def test_stream_parity_kernel_path(mode, n_drives):
     assert streamed.to_dict() == reference.to_dict()
 
 
+@needs_numpy
 def test_stream_warm_cache_reuse_falls_back_bitwise():
     """Reads that revisit LBNs cached by *earlier chunks* must leave the
     kernel path (the dynamic warm-cache gate) and still match bitwise."""
@@ -216,6 +257,7 @@ def test_stream_warm_cache_reuse_falls_back_bitwise():
     assert engine.last_fast_reason == "firmware-cache-sensitive reuse"
 
 
+@needs_numpy
 def test_stream_mixed_path():
     """First chunk kernel-clean, second chunk re-reads it: the stream mixes
     kernel and scalar chunks and reports the 'mixed' path."""
