@@ -99,15 +99,16 @@ KERNEL_SMALL_QUEUE = 48
 class KernelQueueView:
     """Columnar snapshot of a drive's pending queue for the replay kernel.
 
-    Built once per shard by :func:`repro.sim.kernel.replay_kernel_sched`;
-    each column holds one value per *trace request* (indexed by request
-    index, not queue position) as both a numpy array and a plain Python
-    list twin, so policy hooks can score small queues without touching
-    numpy at all.  :attr:`pending` is the live queue: request indices in
-    admission order (ascending, matching the scalar scheduler's arrival
-    ``seq``), mutated in place by the kernel's dispatch loop.  The head
-    position and actuator availability are refreshed by the kernel before
-    every dispatch decision.
+    Built once per shard-local replay by the kernel
+    (:func:`repro.sim.kernel._service_shard`) whenever it dispatches from
+    a pending queue; each column holds one value per *trace request*
+    (indexed by request index, not queue position) as both a numpy array
+    and a plain Python list twin, so policy hooks can score small queues
+    without touching numpy at all.  :attr:`pending` is the live queue:
+    request indices in admission order (ascending, matching the scalar
+    scheduler's arrival ``seq``), mutated in place by the kernel's
+    dispatch loop.  The head position and actuator availability are
+    refreshed by the kernel before every dispatch decision.
 
     In closed mode the issue-time *list* twins (``issue_l`` /
     ``issue_cmd_l``) are refreshed on every admission, but their numpy

@@ -8,8 +8,9 @@ supported:
 * **open** replay -- requests are issued at the timestamps recorded in the
   trace; each drive applies its own actuator/bus availability, so queueing
   develops naturally when arrivals outrun service.  Per-shard streams are
-  serviced through :meth:`DiskDrive.submit_batch`, which amortizes the
-  Python-level per-request overhead (the whole point of this engine).
+  serviced by the columnar kernel (:mod:`repro.sim.kernel`) or, where it
+  refuses, through :meth:`DiskDrive.submit_batch`, which amortizes the
+  Python-level per-request overhead of the exact scalar path.
 * **closed** replay -- trace timestamps are ignored; each drive keeps
   exactly one request outstanding (onereq semantics, Section 5.2 of the
   paper), issuing the next one when the previous one completes.
@@ -122,12 +123,14 @@ class TraceReplayEngine:
     * ``False`` -- always use the scalar batched path.
 
     After every replay, :attr:`last_replay_path` reports which
-    implementation ran (``"kernel"`` for the columnar FCFS open kernel,
-    ``"kernel_sched"`` for the event-batched scheduled kernel, or
-    ``"scalar"``) and :attr:`last_fast_reason` is normalized to a stable
-    vocabulary: ``"ok"`` whenever a fast path ran, ``"fast disabled"``
-    when ``fast=False`` pinned the scalar path, and otherwise exactly one
-    documented refusal string from :mod:`repro.sim.kernel` --
+    implementation ran (``"kernel"`` for an open FCFS replay on the
+    columnar kernel, which then dispatches in arrival order,
+    ``"kernel_sched"`` for any other replay on it, which dispatches from a
+    pending queue, or ``"scalar"``) and :attr:`last_fast_reason` is
+    normalized to a stable vocabulary: ``"ok"`` whenever a fast path ran,
+    ``"fast disabled"`` when ``fast=False`` pinned the scalar path, and
+    otherwise exactly one documented refusal string from
+    :mod:`repro.sim.kernel` --
     ``"numpy unavailable"``, ``"empty trace"``,
     ``"fault injection active"`` (a fault schedule is attached, so only
     the exact scalar path -- which advances the seeded fault RNG in
@@ -150,8 +153,9 @@ class TraceReplayEngine:
     :class:`~repro.disksim.sched.Scheduler` instance used as a per-drive
     prototype, or ``None`` = FCFS).  Under FCFS the engine keeps its classic
     batched/kernel fast paths and is bitwise identical to the
-    pre-scheduler engine.  Any other policy replays through the
-    event-batched scheduled kernel (:func:`repro.sim.kernel.replay_kernel_sched`,
+    pre-scheduler engine (a starvation bound never changes an FCFS
+    schedule).  Any other policy replays through the same kernel
+    (:func:`repro.sim.kernel.replay_kernel_sched`,
     ``last_replay_path == "kernel_sched"``) whenever it is applicable,
     falling back to the exact scalar queue loop otherwise; results are
     bitwise identical either way.
@@ -202,15 +206,16 @@ class TraceReplayEngine:
 
         The trace is sorted into issue order and replayed as one chunk of
         a stream (:func:`repro.sim.stream.replay_once`).  Under FCFS each
-        shard's requests are serviced by the columnar kernel when it is
-        enabled (``fast`` is ``None`` or ``True``) and applicable, and
-        otherwise in batches through :meth:`DiskDrive.submit_batch`, which
-        is numerically exact against per-request :meth:`DiskDrive.submit`.
+        shard's requests are serviced in arrival order by the columnar
+        kernel when it is enabled (``fast`` is ``None`` or ``True``) and
+        applicable, and otherwise in batches through
+        :meth:`DiskDrive.submit_batch`, which is numerically exact against
+        per-request :meth:`DiskDrive.submit`.
 
         With a non-FCFS scheduler, requests are admitted at their
         timestamps into each drive's pending queue and dispatched by the
-        policy; the event-batched scheduled kernel serves the whole trace
-        when applicable, the exact scalar queue loop otherwise.  The
+        policy; the kernel serves the whole trace when applicable, the
+        exact scalar queue loop otherwise.  The
         returned statistics are bitwise identical whichever path runs.
         """
         from .stream import replay_once
@@ -291,7 +296,7 @@ class TraceReplayEngine:
         Trace timestamps are ignored; each shard's requests are serviced in
         trace order, each issued when the previous one on that shard
         completes (plus ``think_ms``).  The trace is replayed as one chunk
-        of a stream, on the event-batched scheduled kernel when applicable
+        of a stream, on the kernel's pending-queue dispatch when applicable
         (FCFS at depth 1 is a degenerate schedule it reproduces bitwise,
         including the empty ``extras``), otherwise through the exact
         scalar loop.
@@ -333,7 +338,7 @@ class TraceReplayEngine:
         trace.  Non-FCFS policies and ``queue_depth > 1`` stream through
         the exact scalar queue loops (``last_fast_reason`` reports
         ``"scheduler not chunk-vectorizable"``); FCFS depth-1 chunks use
-        the event-batched scheduled kernel with a carried per-shard clock.
+        the kernel's pending-queue dispatch with a carried per-shard clock.
         """
         from .stream import replay_closed_stream
 

@@ -1,33 +1,46 @@
 """Columnar fast-path replay kernel: shard-local service with numpy.
 
-The batched engine of PR 1 already amortizes Python call overhead, but its
-hot loop still performs per-request geometry bisects, memo-dict probes,
-firmware-cache probes and thirteen column appends.  This module services a
-shard-local request stream (one chunk of a replay, see
-:mod:`repro.sim.stream`) with the per-request work split into two phases:
+One kernel, :func:`_service_shard`, serves every kernel-class replay: the
+chunks of an open FCFS stream (reported as ``"kernel"``), closed FCFS
+depth-1 chunks and every whole-trace :func:`replay_kernel_sched` replay
+(``"kernel_sched"``).  It services a shard-local request stream with the
+per-request work split into two phases:
 
 * **vectorized precompute** -- everything that is a pure function of the
   request stream and the immutable drive configuration is computed with
   numpy array math up front: LBN -> (track, cylinder, surface, slot)
-  translation (``searchsorted`` over the per-track tables), seek distances
-  and seek-curve evaluation (a per-curve lookup table), head-switch
-  detection, media-transfer and bus-transfer columns, request validation
-  and shard routing;
+  translation (``searchsorted`` over the per-track tables), seek-curve
+  evaluation (a per-curve lookup table), media-transfer and bus-transfer
+  columns, request validation and shard routing;
 * **serial recurrence** -- only the state that genuinely chains from one
-  request to the next (actuator free time, bus free time, and the
-  rotation-phase-dependent latency) runs in a tight Python loop over the
-  precomputed columns, mirroring the arithmetic of
-  :meth:`repro.disksim.drive.DiskDrive.submit_batch` operation for
-  operation so the produced :class:`~repro.sim.engine.ReplayStats` is
-  bitwise identical to the scalar path.
+  request to the next (actuator free time, bus free time, head position,
+  queue admission and the rotation-phase-dependent latency) runs in a
+  tight Python loop over the precomputed columns, with the arithmetic of
+  the scalar ``DiskDrive.submit`` path kept operation for operation so the
+  produced :class:`~repro.sim.engine.ReplayStats` is bitwise identical to
+  the scalar path.  The same loop folds the eight breakdown terms with
+  plain ``+=`` in service order.
+
+The scheduler class picks the dispatch order.  Under FCFS in open mode
+every dispatch takes the oldest pending request, which is always the next
+one in arrival order (a starvation bound can only force that same
+request), so the kernel dispatches in arrival order: it keeps no pending
+queue, and seek and head-switch times are vectorized columns over the
+previous request's end track.  Every other replay (a reordering policy,
+or closed mode at any depth) admits requests to a pending queue, and the
+scheduler's ``kernel_select`` hook scores the whole queue against the
+columns (:class:`~repro.disksim.sched.KernelQueueView`) at each dispatch,
+mirroring ``Scheduler.pop``.  Both dispatch orders share the single-track
+service arithmetic and the multi-track fallback below.
 
 The kernel refuses (returns a reason, and the caller falls back to the
 exact scalar path) whenever its model could diverge from the scalar one:
 
 * numpy is not importable,
+* a fault schedule is attached to some drive,
 * any drive's geometry has slipped/remapped defects,
 * any drive uses an out-of-order bus,
-* any request crosses a shard boundary (fleet splitting), or
+* any request crosses a shard boundary (fleet splitting),
 * the trace exhibits *firmware-cache-sensitive reuse*: some read's start
   LBN falls inside another read's cached-plus-readahead window
   (:func:`_cache_sensitive`, static and conservative: it ignores request
@@ -36,22 +49,14 @@ exact scalar path) whenever its model could diverge from the scalar one:
   cache already holds (:func:`warm_cache_clean`, which lets warm-state
   continuations and later chunks of a stream keep the kernel), so the
   scalar path could serve cache hits or prefetch streams the kernel does
-  not model.
+  not model, or
+* (:func:`replay_kernel_sched`) a scheduler subclass overrides the scalar
+  policy hooks without matching kernel hooks:
+  ``"scheduler not kernel-vectorizable"``.
 
 Requests that span multiple tracks are serviced through the drive's exact
-scalar code with state synced both ways (exactly like ``submit_batch``
-does), so unaligned traces still replay through the kernel.
-
-:func:`replay_kernel_sched` extends the same discipline to **scheduled**
-replays (non-FCFS policies, closed queue depths > 1): admission and the
-dispatch-time policy decision stay in the serial loop, but candidate
-scoring over the pending queue is delegated to the scheduler's vectorized
-``kernel_select`` hook over precomputed columns
-(:class:`~repro.disksim.sched.KernelQueueView`), and each dispatched
-request is serviced by the same inlined single-track arithmetic.  One
-extra refusal applies: a scheduler subclass that overrides the scalar
-policy hooks without matching kernel hooks returns
-``"scheduler not kernel-vectorizable"``.
+scalar code with state synced both ways, so unaligned traces still replay
+through the kernel.
 
 On caching-enabled drives the kernel performs the same
 ``record_read``/``record_write`` cache bookkeeping as the scalar path
@@ -75,6 +80,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..disksim.seek import SeekCurve
     from .engine import ReplayStats
     from .shard import LbnRangeShard
+    from .stream import _ShardAgg
     from .trace import Trace
 
 # --------------------------------------------------------------------------- #
@@ -323,375 +329,18 @@ def eligible_shard_columns(
 # --------------------------------------------------------------------------- #
 
 class _ShardOutcome:
-    """Columnar results of one shard's replay (mirrors ``BatchResult``'s
-    role in the scalar aggregate, carrying only what the aggregate needs)."""
+    """Issue and completion times of one shard's kernel replay, in service
+    order (the breakdown terms are folded by the kernel itself)."""
 
-    __slots__ = (
-        "n", "issue", "completions", "seek", "settle", "head_switch",
-        "transfer", "bus", "latency_sum", "overlap_sum", "busy_sum",
-    )
+    __slots__ = ("n", "issue", "completions")
 
     def __init__(self) -> None:
         self.n = 0
         self.issue: list[float] = []
         self.completions: list[float] = []
-        self.seek: list[float] = []
-        self.settle: list[float] = []
-        self.head_switch: list[float] = []
-        self.transfer: list[float] = []
-        self.bus: list[float] = []
-        self.latency_sum = 0.0
-        self.overlap_sum = 0.0
-        self.busy_sum = 0.0
 
 
 def _service_shard(
-    np,
-    drive: "DiskDrive",
-    lbns,
-    counts,
-    issue,
-    is_read,
-    latency_start: float = 0.0,
-    overlap_start: float = 0.0,
-    busy_start: float = 0.0,
-) -> _ShardOutcome:
-    """Replay one shard-local stream against a freshly reset ``drive``.
-
-    ``lbns``/``counts``/``issue``/``is_read`` are numpy columns in issue
-    order.  The serial loop below is ``DiskDrive.submit_batch``'s inlined
-    single-track service with every gatherable quantity precomputed; the
-    float arithmetic is kept in the exact same order so results are bitwise
-    identical.
-
-    ``latency_start``/``overlap_start``/``busy_start`` seed the in-loop sum
-    accumulators so a chunked replay (:mod:`repro.sim.stream`) can continue
-    the left fold of an earlier chunk: the returned ``*_sum`` values are then
-    cumulative over the whole stream and bitwise equal to a one-shot fold.
-    """
-    out = _ShardOutcome()
-    n = int(lbns.shape[0])
-    out.n = n
-    if n == 0:
-        return out
-
-    geometry = drive.geometry
-    specs = drive.specs
-    bus = drive.bus
-    (
-        tr_first, tr_count, tr_spt, tr_skew, tr_sector_ms, tr_stream_ms,
-    ) = geometry_tables(geometry)
-    seek_lut = seek_table(drive.seek_curve, geometry.cylinders)
-    surfaces = geometry.surfaces
-
-    # ---- vectorized translation (mirrors translate_batch) -------------- #
-    track = np.searchsorted(tr_first, lbns, side="right") - 1
-    empty = tr_count[track] == 0
-    while empty.any():
-        track = np.where(empty, track - 1, track)
-        empty = tr_count[track] == 0
-    first = tr_first[track]
-    last = lbns + counts - 1
-    etrack = np.searchsorted(tr_first, last, side="right") - 1
-    empty = tr_count[etrack] == 0
-    while empty.any():
-        etrack = np.where(empty, etrack - 1, etrack)
-        empty = tr_count[etrack] == 0
-    multi = lbns + counts > first + tr_count[track]
-
-    cyl = track // surfaces
-    surf = track - cyl * surfaces
-    ecyl = etrack // surfaces
-    esurf = etrack - ecyl * surfaces
-
-    # Head position before each request: the previous request's end track
-    # (requests that fall back to the scalar path also end there).
-    prev_cyl = np.empty_like(ecyl)
-    prev_surf = np.empty_like(esurf)
-    prev_cyl[0] = drive.head_cylinder
-    prev_surf[0] = drive.head_surface
-    prev_cyl[1:] = ecyl[:-1]
-    prev_surf[1:] = esurf[:-1]
-
-    distance = np.abs(cyl - prev_cyl)
-    seek_col = seek_lut[distance]
-    head_switch_cost = specs.head_switch_ms
-    hs_col = np.where((distance == 0) & (surf != prev_surf), head_switch_cost, 0.0)
-
-    cmd_ms = bus.command_overhead_ms
-    bus_sector = bus.sector_ms()
-    write_settle = specs.write_settle_ms
-    rotation = specs.rotation_ms
-    zero_latency = drive.zero_latency
-
-    spt_col = tr_spt[track]
-    skew_col = tr_skew[track]
-    sector_ms_col = tr_sector_ms[track]
-    start_slot_col = lbns - first
-    transfer_col = counts * sector_ms_col
-    total_bus_col = counts * bus_sector
-    issue_cmd_col = issue + cmd_ms
-    settle_col = np.where(is_read, 0.0, write_settle)
-
-    # ---- python-scalar views for the serial loop ----------------------- #
-    issue_l = issue.tolist()
-    issue_cmd_l = issue_cmd_col.tolist()
-    count_l = counts.tolist()
-    lbn_l = lbns.tolist()
-    is_read_l = is_read.tolist()
-    multi_l = multi.tolist()
-    seek_l = seek_col.tolist()
-    hs_l = hs_col.tolist()
-    settle_l = settle_col.tolist()
-    spt_l = spt_col.tolist()
-    skew_l = skew_col.tolist()
-    sector_ms_l = sector_ms_col.tolist()
-    start_slot_l = start_slot_col.tolist()
-    transfer_l = transfer_col.tolist()
-    total_bus_l = total_bus_col.tolist()
-    stream_ms_l = tr_stream_ms[track].tolist()
-    ecyl_l = ecyl.tolist()
-    esurf_l = esurf.tolist()
-
-    # Mirror the scalar path's cache bookkeeping so a later warm-state
-    # continuation (reset=False) sees exactly the cache a scalar replay
-    # would have left behind.  The reuse gate guarantees no probe ever
-    # *hits* during this replay, so recording cannot change its results.
-    cache = drive.cache
-    maintain_cache = cache.enable_caching
-    record_read = cache.record_read
-    record_write = cache.record_write
-
-    completions = [0.0] * n
-    latency_sum = latency_start
-    overlap_sum = overlap_start
-    busy_sum = busy_start
-    fallback_busy = 0.0
-    act_free = drive.actuator_free
-    b_free = drive.bus_free
-
-    any_multi = bool(multi.any())
-    service_read = drive._service_read
-    service_write = drive._service_write
-    account = drive._account
-
-    for i in range(n):
-        t_issue = issue_l[i]
-        mech_start = issue_cmd_l[i]
-        if act_free > mech_start:
-            mech_start = act_free
-
-        if any_multi and multi_l[i]:
-            # Multi-track request: exact scalar fallback with state synced
-            # both ways (same contract as submit_batch's fallback).  The
-            # reuse gate guarantees its cache lookup misses.
-            if i:
-                drive.head_cylinder = ecyl_l[i - 1]
-                drive.head_surface = esurf_l[i - 1]
-            drive.actuator_free = act_free
-            drive.bus_free = b_free
-            count = count_l[i]
-            if is_read_l[i]:
-                done = service_read(
-                    DiskRequest(READ, lbn_l[i], count), t_issue, mech_start
-                )
-            else:
-                done = service_write(
-                    DiskRequest(WRITE, lbn_l[i], count), t_issue, mech_start
-                )
-            account(done)
-            act_free = drive.actuator_free
-            b_free = drive.bus_free
-            seek_l[i] = done.seek_ms
-            settle_l[i] = done.settle_ms
-            hs_l[i] = done.head_switch_ms
-            transfer_l[i] = done.media_transfer_ms
-            total_bus_l[i] = done.bus_ms
-            latency_sum += done.rotational_latency_ms
-            overlap_sum += done.bus_overlap_ms
-            busy = done.media_busy_ms
-            busy_sum += busy
-            fallback_busy += busy
-            completions[i] = done.completion
-            continue
-
-        # ---------------- inlined single-track service ------------------ #
-        count = count_l[i]
-        seek_ms = seek_l[i]
-        hs_ms = hs_l[i]
-        spt = spt_l[i]
-        sector_ms = sector_ms_l[i]
-        transfer = transfer_l[i]
-        total_bus = total_bus_l[i]
-
-        if is_read_l[i]:
-            t = mech_start + seek_ms + hs_ms
-        else:
-            start_w = issue_cmd_l[i]
-            if b_free > start_w:
-                start_w = b_free
-            first_ready = start_w + bus_sector
-            bus_done = start_w + total_bus
-            t = mech_start + seek_ms + write_settle + hs_ms
-            if first_ready > t:
-                t = first_ready
-
-        start_slot = start_slot_l[i]
-        head_angle = ((t % rotation) / rotation) * spt
-        head_slot = (head_angle - skew_l[i]) % spt
-        rel = (head_slot - start_slot) % spt
-
-        two_runs = False
-        if rel >= count or not zero_latency:
-            latency = (spt - rel) * sector_ms
-            media_ms = latency + transfer
-            run_cnt0 = count
-            run_b0 = latency
-            run_e0 = latency + transfer
-        else:
-            split = int(rel) + 1
-            if split > count:
-                split = count
-            tail = count - split
-            media_ms = spt * sector_ms
-            latency = media_ms - transfer
-            wrap_begin = media_ms - split * sector_ms
-            if tail > 0:
-                two_runs = True
-                tb = (split - rel) * sector_ms if split > rel else 0.0
-                if tb < 0.0:
-                    tb = 0.0
-                tail_end = tb + tail * sector_ms
-            else:
-                run_cnt0 = split
-                run_b0 = wrap_begin
-                run_e0 = media_ms
-
-        media_end = t + media_ms
-
-        if is_read_l[i]:
-            floor = issue_cmd_l[i]
-            if b_free > floor:
-                floor = b_free
-            if two_runs:
-                a_begin = t + tb
-                a_end = t + tail_end
-                b_begin = t + wrap_begin
-                b_end = t + media_ms
-                bus_media_end = b_end if b_end > a_end else a_end
-                if a_begin < b_begin:
-                    start_b = floor if floor > bus_media_end else bus_media_end
-                    bus_completion = start_b + total_bus
-                    overlap = 0.0
-                else:
-                    bus_completion = floor + total_bus
-                    alt = bus_media_end + bus_sector
-                    if alt > bus_completion:
-                        bus_completion = alt
-                    per_b = (b_end - b_begin) / split
-                    avail_b = b_begin + split * per_b
-                    if avail_b < 0.0:
-                        avail_b = 0.0
-                    cand = avail_b if avail_b > floor else floor
-                    cand = cand + (count - split) * bus_sector
-                    if cand > bus_completion:
-                        bus_completion = cand
-                    per_a = (a_end - a_begin) / tail
-                    avail_a = a_begin + tail * per_a
-                    avail = avail_b if avail_b > avail_a else avail_a
-                    if avail < 0.0:
-                        avail = 0.0
-                    cand = avail if avail > floor else floor
-                    if cand > bus_completion:
-                        bus_completion = cand
-                    overlap = total_bus - (bus_completion - bus_media_end)
-                    if overlap < 0.0:
-                        overlap = 0.0
-                    elif overlap > total_bus:
-                        overlap = total_bus
-            else:
-                b_begin = t + run_b0
-                b_end = t + run_e0
-                bus_media_end = b_end
-                bus_completion = floor + total_bus
-                alt = bus_media_end + bus_sector
-                if alt > bus_completion:
-                    bus_completion = alt
-                per = (b_end - b_begin) / run_cnt0
-                avail = b_begin + run_cnt0 * per
-                if avail < 0.0:
-                    avail = 0.0
-                cand = avail if avail > floor else floor
-                if cand > bus_completion:
-                    bus_completion = cand
-                overlap = total_bus - (bus_completion - bus_media_end)
-                if overlap < 0.0:
-                    overlap = 0.0
-                elif overlap > total_bus:
-                    overlap = total_bus
-
-            completion = bus_completion if bus_completion > media_end else media_end
-            act_free = media_end
-            if completion > b_free:
-                b_free = completion
-            if maintain_cache:
-                record_read(lbn_l[i], count, media_end, stream_ms_l[i])
-        else:
-            completion = media_end
-            mn = bus_done if bus_done < media_end else media_end
-            overlap = mn - (first_ready - bus_sector)
-            if overlap < 0.0:
-                overlap = 0.0
-            if overlap > total_bus:
-                overlap = total_bus
-            b_free = bus_done
-            act_free = media_end
-            if maintain_cache:
-                record_write(lbn_l[i], count)
-
-        busy = media_end - mech_start
-        if busy > 0.0:
-            busy_sum += busy
-        latency_sum += latency
-        overlap_sum += overlap
-        completions[i] = completion
-
-    # ---- commit drive state and aggregate counters --------------------- #
-    drive.actuator_free = act_free
-    drive.bus_free = b_free
-    drive.head_cylinder = ecyl_l[n - 1]
-    drive.head_surface = esurf_l[n - 1]
-
-    inline = ~multi
-    inline_reads = inline & is_read
-    inline_writes = inline & ~is_read
-    stats = drive.stats
-    stats.requests += int(np.count_nonzero(inline))
-    stats.reads += int(np.count_nonzero(inline_reads))
-    stats.writes += int(np.count_nonzero(inline_writes))
-    stats.sectors_read += int(counts[inline_reads].sum())
-    stats.sectors_written += int(counts[inline_writes].sum())
-    # Fallback rows already credited their busy time through _account();
-    # add the inline rows' share.  (The ReplayStats breakdown uses
-    # ``busy_sum``, which is accumulated in request order and therefore
-    # bitwise identical to the scalar path; the drive's own cumulative
-    # counter does not depend on summation order.)
-    stats.busy_ms += busy_sum - busy_start - fallback_busy
-
-    out.issue = issue_l
-    out.completions = completions
-    out.seek = seek_l
-    out.settle = settle_l
-    out.head_switch = hs_l
-    out.transfer = transfer_l
-    out.bus = total_bus_l
-    out.latency_sum = latency_sum
-    out.overlap_sum = overlap_sum
-    out.busy_sum = busy_sum
-    return out
-
-
-def _service_shard_sched(
     np,
     drive: "DiskDrive",
     scheduler,
@@ -702,36 +351,46 @@ def _service_shard_sched(
     mode: str,
     depth: int,
     think_ms: float,
-    latency_start: float = 0.0,
-    overlap_start: float = 0.0,
-    busy_start: float = 0.0,
+    acc: "_ShardAgg",
     now_start: float = 0.0,
 ) -> "tuple[_ShardOutcome, int, float]":
-    """Event-batched scheduled replay of one shard-local stream.
+    """Replay one shard-local stream: the kernel's serial recurrence.
 
-    The scalar queue loops in :mod:`repro.sim.stream` interleave
-    admission (requests entering the pending queue) with dispatch (the
-    policy picking one and the drive servicing it).  Here
-    every per-request quantity that does not depend on dispatch order is
-    precomputed as a numpy column; the loop below keeps only the
-    irreducible serial recurrence -- actuator/bus availability, head
-    position, rotation phase and queue admission -- and asks the
-    scheduler's ``kernel_select`` hook to score the whole pending queue
-    against the columns (a :class:`~repro.disksim.sched.KernelQueueView`).
-    Float arithmetic matches the scalar ``submit`` path operation for
-    operation, and selection mirrors ``Scheduler.pop`` (starvation bound,
-    forced-dispatch accounting, seq tie-breaking), so the replay is
-    bitwise identical to the scalar queue loop.
+    ``lbns``/``counts``/``issue``/``is_read`` are numpy columns in
+    admission order.  Every per-request quantity that does not depend on
+    dispatch order is precomputed as a numpy column; the loop below keeps
+    only the irreducible serial recurrence -- actuator/bus availability,
+    head position, rotation phase and queue admission.  Float arithmetic
+    matches the scalar ``submit`` path operation for operation, so the
+    replay is bitwise identical to the scalar loops of
+    :mod:`repro.sim.stream`.
 
-    Returns the shard outcome, the scheduler's forced-dispatch count, and
-    the final closed-loop clock (``completion + think_ms`` of the last
-    dispatch; ``now_start`` echoed back in open mode or on an empty shard).
-    ``latency_start``/``overlap_start``/``busy_start``/``now_start`` let a
-    chunked replay (:mod:`repro.sim.stream`) continue an earlier chunk's
-    accumulator fold and closed-loop clock bitwise-exactly.
+    Dispatch order comes from the scheduler class.  Under FCFS in open
+    mode (FCFS's ``kernel_select``, no ``kernel_removed`` override) every
+    dispatch takes the oldest pending request, which is always the next
+    one in arrival order -- whatever the starvation bound, which can only
+    force the oldest request: the loop walks the stream in order with no
+    pending queue, and seek and head-switch times are vectorized columns.
+    Otherwise requests are admitted to a pending queue (at their
+    timestamps in ``mode="open"``; in ``mode="closed"`` keeping up to
+    ``depth`` outstanding, the next admitted ``think_ms`` after each
+    completion) and the scheduler's ``kernel_select`` hook scores the
+    whole queue against the columns (a
+    :class:`~repro.disksim.sched.KernelQueueView`); selection mirrors
+    ``Scheduler.pop`` (starvation bound, forced-dispatch accounting, seq
+    tie-breaking).
+
+    ``acc`` (the shard's ``_ShardAgg``) seeds the eight breakdown folds,
+    which are continued in service order and written back to it, so a
+    chunked replay continues one left fold across chunks.  Returns the
+    shard outcome, the scheduler's forced-dispatch count, and the final
+    closed-loop clock (``completion + think_ms`` of the last dispatch;
+    ``now_start`` echoed back in open mode or on an empty shard), which
+    the next chunk of a closed stream passes back as ``now_start``.
     """
     from ..disksim.sched import (
         KERNEL_SMALL_QUEUE,
+        FCFSScheduler,
         KernelQueueView,
         Scheduler,
         kernel_oldest,
@@ -787,8 +446,21 @@ def _service_shard_sched(
     transfer_col = counts * sector_ms_col
     total_bus_col = counts * bus_sector
     settle_col = np.where(is_read, 0.0, write_settle)
-    span_col = np.minimum(counts, spt_col)
-    if mode == "open":
+
+    open_mode = mode == "open"
+    # The base-class removal hook is a no-op; skip the call entirely rather
+    # than paying a Python call per dispatch for nothing.
+    krem = (
+        None
+        if type(scheduler).kernel_removed is Scheduler.kernel_removed
+        else scheduler.kernel_removed
+    )
+    arrival_order = (
+        open_mode
+        and krem is None
+        and type(scheduler).kernel_select is FCFSScheduler.kernel_select
+    )
+    if open_mode:
         issue_col = issue
         issue_cmd_col = issue + cmd_ms
     else:
@@ -803,108 +475,121 @@ def _service_shard_sched(
     lbn_l = lbns.tolist()
     is_read_l = is_read.tolist()
     multi_l = multi.tolist()
-    cyl_l = cyl.tolist()
-    surf_l = surf.tolist()
     settle_l = settle_col.tolist()
     spt_l = spt_col.tolist()
     skew_l = skew_col.tolist()
     sector_ms_l = sector_ms_col.tolist()
     start_slot_l = start_slot_col.tolist()
-    span_l = span_col.tolist()
     transfer_l = transfer_col.tolist()
     total_bus_l = total_bus_col.tolist()
     stream_ms_l = tr_stream_ms[track].tolist()
     ecyl_l = ecyl.tolist()
     esurf_l = esurf.tolist()
 
-    view = KernelQueueView(
-        np=np,
-        rotation_ms=rotation,
-        head_switch_ms=head_switch_cost,
-        zero_latency=zero_latency,
-        lbn_key_scale=geometry.total_lbns,
-        issue=issue_col,
-        issue_cmd=issue_cmd_col,
-        lbn=lbns,
-        track=track,
-        cylinder=cyl,
-        surface=surf,
-        start_slot=start_slot_col,
-        spt=spt_col,
-        sector_ms=sector_ms_col,
-        skew=skew_col,
-        settle=settle_col,
-        span=span_col,
-        seek_lut=seek_lut,
-        issue_l=issue_l,
-        issue_cmd_l=issue_cmd_l,
-        lbn_l=lbn_l,
-        track_l=track.tolist(),
-        cylinder_l=cyl_l,
-        surface_l=surf_l,
-        start_slot_l=start_slot_l,
-        spt_l=spt_l,
-        sector_ms_l=sector_ms_l,
-        skew_l=skew_l,
-        settle_l=settle_l,
-        span_l=span_l,
-        seek_lut_l=seek_lut_l,
-        pos_l=list(
-            zip(
-                cyl_l, surf_l, settle_l, spt_l, sector_ms_l, skew_l,
-                start_slot_l, span_l,
-            )
-        ),
-    )
-    pending = view.pending
+    if arrival_order:
+        # Head position before each request: the previous request's end
+        # track (a multi-track request serviced by the scalar code ends
+        # there too).
+        prev_cyl = np.empty_like(ecyl)
+        prev_surf = np.empty_like(esurf)
+        prev_cyl[0] = drive.head_cylinder
+        prev_surf[0] = drive.head_surface
+        prev_cyl[1:] = ecyl[:-1]
+        prev_surf[1:] = esurf[:-1]
+        distance = np.abs(cyl - prev_cyl)
+        seek_l = seek_lut[distance].tolist()
+        hs_l = np.where(
+            (distance == 0) & (surf != prev_surf), head_switch_cost, 0.0
+        ).tolist()
+    else:
+        cyl_l = cyl.tolist()
+        surf_l = surf.tolist()
+        span_col = np.minimum(counts, spt_col)
+        span_l = span_col.tolist()
+        view = KernelQueueView(
+            np=np,
+            rotation_ms=rotation,
+            head_switch_ms=head_switch_cost,
+            zero_latency=zero_latency,
+            lbn_key_scale=geometry.total_lbns,
+            issue=issue_col,
+            issue_cmd=issue_cmd_col,
+            lbn=lbns,
+            track=track,
+            cylinder=cyl,
+            surface=surf,
+            start_slot=start_slot_col,
+            spt=spt_col,
+            sector_ms=sector_ms_col,
+            skew=skew_col,
+            settle=settle_col,
+            span=span_col,
+            seek_lut=seek_lut,
+            issue_l=issue_l,
+            issue_cmd_l=issue_cmd_l,
+            lbn_l=lbn_l,
+            track_l=track.tolist(),
+            cylinder_l=cyl_l,
+            surface_l=surf_l,
+            start_slot_l=start_slot_l,
+            spt_l=spt_l,
+            sector_ms_l=sector_ms_l,
+            skew_l=skew_l,
+            settle_l=settle_l,
+            span_l=span_l,
+            seek_lut_l=seek_lut_l,
+            pos_l=list(
+                zip(
+                    cyl_l, surf_l, settle_l, spt_l, sector_ms_l, skew_l,
+                    start_slot_l, span_l,
+                )
+            ),
+        )
+        pending = view.pending
+        starvation = scheduler.starvation_ms
+        ksel = scheduler.kernel_select
 
-    # Same cache bookkeeping contract as _service_shard: the reuse gate
-    # guarantees no probe would hit, so recording cannot change results.
+    # Mirror the scalar path's cache bookkeeping so a later warm-state
+    # continuation (reset=False) sees exactly the cache a scalar replay
+    # would have left behind.  The reuse gate guarantees no probe ever
+    # *hits* during this replay, so recording cannot change its results.
     cache = drive.cache
     maintain_cache = cache.enable_caching
     record_read = cache.record_read
     record_write = cache.record_write
 
-    issue_o: list[float] = []
-    comp_o: list[float] = []
-    seek_o: list[float] = []
-    settle_o: list[float] = []
-    hs_o: list[float] = []
-    transfer_o: list[float] = []
-    bus_o: list[float] = []
-    latency_sum = latency_start
-    overlap_sum = overlap_start
-    busy_sum = busy_start
+    completions = [0.0] * n
+    order: list[int] = []  # dispatch order, when it is not arrival order
+    seek_sum = acc.seek
+    settle_sum = acc.settle
+    latency_sum = acc.latency
+    hs_sum = acc.head_switch
+    transfer_sum = acc.transfer
+    bus_sum = acc.bus
+    overlap_sum = acc.overlap
+    busy_sum = busy_start = acc.busy
     fallback_busy = 0.0
     act_free = drive.actuator_free
     b_free = drive.bus_free
-    head_cyl = drive.head_cylinder
-    head_surf = drive.head_surface
+    # The head sits on the end track of the previous dispatch,
+    # ``ecyl_l[prev]``/``esurf_l[prev]``; before the first dispatch
+    # ``prev`` is -1, the drive's starting position appended past the rows.
+    ecyl_l.append(drive.head_cylinder)
+    esurf_l.append(drive.head_surface)
+    prev = -1
     forced = 0
 
     any_multi = bool(multi.any())
     service_read = drive._service_read
     service_write = drive._service_write
     account = drive._account
-    starvation = scheduler.starvation_ms
-    ksel = scheduler.kernel_select
-    # The base-class removal hook is a no-op; skip the call entirely rather
-    # than paying a Python call per dispatch for nothing.
-    krem = (
-        None
-        if type(scheduler).kernel_removed is Scheduler.kernel_removed
-        else scheduler.kernel_removed
-    )
 
-    # ---- the serial recurrence: admission + dispatch ------------------- #
+    # ---- the serial recurrence: admission + dispatch + service --------- #
     # One monolithic loop with every piece of live state in plain locals.
     # The pop mirror (Scheduler.pop: starvation bound first, then the
     # policy, with forced-dispatch accounting and removal hooks) and the
-    # single-track service arithmetic (the exact loop body of
-    # _service_shard, with the seek/head-switch terms computed at dispatch
-    # time because dispatch order is policy-driven) are inlined: closure
-    # cells and helper-call overhead are measurable at kernel speeds.
-    open_mode = mode == "open"
+    # single-track service arithmetic are inlined: closure cells and
+    # helper-call overhead are measurable at kernel speeds.
     now = now_start
     i = 0
     if not open_mode:
@@ -926,68 +611,81 @@ def _service_shard_sched(
             pending.append(i)
             i += 1
 
-    while True:
-        if open_mode:
-            if pending:
-                # Busy drive: decide when the mechanism frees up.
-                decision = act_free
-            else:
-                if i >= n:
-                    break
-                # Idle drive: the next dispatch decision happens when the
-                # next request arrives.
-                decision = issue_l[i]
-                if act_free > decision:
-                    decision = act_free
-            while i < n and issue_l[i] <= decision:
-                pending.append(i)
-                i += 1
+    for k in range(n):  # one dispatch per request
+        if arrival_order:
+            idx = k
+            seek_ms = seek_l[idx]
+            hs_ms = hs_l[idx]
         else:
-            if not pending:
-                break
-            decision = act_free
-            if now > decision:
-                decision = now
+            if open_mode:
+                if pending:
+                    # Busy drive: decide when the mechanism frees up.
+                    decision = act_free
+                else:
+                    # Idle drive: the next dispatch decision happens when
+                    # the next request arrives.
+                    decision = issue_l[i]
+                    if act_free > decision:
+                        decision = act_free
+                while i < n and issue_l[i] <= decision:
+                    pending.append(i)
+                    i += 1
+            else:
+                decision = act_free
+                if now > decision:
+                    decision = now
 
-        # ---- pop: mirror of Scheduler.pop (starvation bound first,
-        # then the policy, forced-dispatch accounting, removal hooks) ---- #
-        view.head_cylinder = head_cyl
-        view.head_surface = head_surf
-        view.actuator_free = act_free
-        view._arr = None
-        if starvation is not None:
-            opos = kernel_oldest(view)
-            oidx = pending[opos]
-            if decision - issue_l[oidx] > starvation:
-                if pending[ksel(view)] != oidx:
-                    forced += 1
-                del pending[opos]
-                idx = oidx
+            # ---- pop: mirror of Scheduler.pop (starvation bound first,
+            # then the policy, forced-dispatch accounting, removal hooks) #
+            head_cyl = ecyl_l[prev]
+            head_surf = esurf_l[prev]
+            view.head_cylinder = head_cyl
+            view.head_surface = head_surf
+            view.actuator_free = act_free
+            view._arr = None
+            if starvation is not None:
+                opos = kernel_oldest(view)
+                oidx = pending[opos]
+                if decision - issue_l[oidx] > starvation:
+                    if pending[ksel(view)] != oidx:
+                        forced += 1
+                    del pending[opos]
+                    idx = oidx
+                else:
+                    spos = ksel(view)
+                    idx = pending[spos]
+                    del pending[spos]
             else:
                 spos = ksel(view)
                 idx = pending[spos]
                 del pending[spos]
-        else:
-            spos = ksel(view)
-            idx = pending[spos]
-            del pending[spos]
-        if krem is not None:
-            krem(view, idx)
+            if krem is not None:
+                krem(view, idx)
+            order.append(idx)
+
+            distance = cyl_l[idx] - head_cyl
+            if distance < 0:
+                distance = -distance
+            seek_ms = seek_lut_l[distance]
+            hs_ms = 0.0
+            if distance == 0 and surf_l[idx] != head_surf:
+                hs_ms = head_switch_cost
 
         # ---- service at the current head/bus state --------------------- #
-        t_issue = issue_l[idx]
         mech_start = issue_cmd_l[idx]
         if act_free > mech_start:
             mech_start = act_free
 
         if any_multi and multi_l[idx]:
-            # Multi-track request: exact scalar fallback, state synced
-            # both ways (same contract as _service_shard's fallback).
-            drive.head_cylinder = head_cyl
-            drive.head_surface = head_surf
+            # Multi-track request: exact scalar fallback with state synced
+            # both ways (same contract as submit_batch's fallback).  The
+            # reuse gate guarantees its cache lookup misses.
+            drive.head_cylinder = ecyl_l[prev]
+            drive.head_surface = esurf_l[prev]
             drive.actuator_free = act_free
             drive.bus_free = b_free
             count = count_l[idx]
+            t_issue = issue_l[idx]
             if is_read_l[idx]:
                 done = service_read(
                     DiskRequest(READ, lbn_l[idx], count), t_issue, mech_start
@@ -999,31 +697,20 @@ def _service_shard_sched(
             account(done)
             act_free = drive.actuator_free
             b_free = drive.bus_free
-            head_cyl = ecyl_l[idx]
-            head_surf = esurf_l[idx]
-            seek_o.append(done.seek_ms)
-            settle_o.append(done.settle_ms)
-            hs_o.append(done.head_switch_ms)
-            transfer_o.append(done.media_transfer_ms)
-            bus_o.append(done.bus_ms)
-            latency_sum += done.rotational_latency_ms
-            overlap_sum += done.bus_overlap_ms
+            seek_ms = done.seek_ms
+            settle = done.settle_ms
+            hs_ms = done.head_switch_ms
+            transfer = done.media_transfer_ms
+            total_bus = done.bus_ms
+            latency = done.rotational_latency_ms
+            overlap = done.bus_overlap_ms
             busy = done.media_busy_ms
-            busy_sum += busy
             fallback_busy += busy
-            issue_o.append(t_issue)
-            comp_o.append(done.completion)
             completion = done.completion
         else:
-            # ------------- inlined single-track service ------------------ #
+            # ---------------- inlined single-track service -------------- #
             count = count_l[idx]
-            distance = cyl_l[idx] - head_cyl
-            if distance < 0:
-                distance = -distance
-            seek_ms = seek_lut_l[distance]
-            hs_ms = 0.0
-            if distance == 0 and surf_l[idx] != head_surf:
-                hs_ms = head_switch_cost
+            settle = settle_l[idx]
             spt = spt_l[idx]
             sector_ms = sector_ms_l[idx]
             transfer = transfer_l[idx]
@@ -1153,21 +840,20 @@ def _service_shard_sched(
                 act_free = media_end
                 if maintain_cache:
                     record_write(lbn_l[idx], count)
-
             busy = media_end - mech_start
-            if busy > 0.0:
-                busy_sum += busy
-            latency_sum += latency
-            overlap_sum += overlap
-            head_cyl = cyl_l[idx]
-            head_surf = surf_l[idx]
-            issue_o.append(t_issue)
-            comp_o.append(completion)
-            seek_o.append(seek_ms)
-            settle_o.append(settle_l[idx])
-            hs_o.append(hs_ms)
-            transfer_o.append(transfer)
-            bus_o.append(total_bus)
+
+        # ---- fold the breakdown terms in service order ----------------- #
+        seek_sum += seek_ms
+        settle_sum += settle
+        latency_sum += latency
+        hs_sum += hs_ms
+        transfer_sum += transfer
+        bus_sum += total_bus
+        overlap_sum += overlap
+        if busy > 0.0:
+            busy_sum += busy
+        completions[idx] = completion
+        prev = idx
 
         # ---- closed-loop think time + next admission ------------------- #
         if not open_mode:
@@ -1185,8 +871,8 @@ def _service_shard_sched(
     # ---- commit drive state and aggregate counters --------------------- #
     drive.actuator_free = act_free
     drive.bus_free = b_free
-    drive.head_cylinder = head_cyl
-    drive.head_surface = head_surf
+    drive.head_cylinder = ecyl_l[prev]
+    drive.head_surface = esurf_l[prev]
 
     inline = ~multi
     inline_reads = inline & is_read
@@ -1197,18 +883,27 @@ def _service_shard_sched(
     stats.writes += int(np.count_nonzero(inline_writes))
     stats.sectors_read += int(counts[inline_reads].sum())
     stats.sectors_written += int(counts[inline_writes].sum())
+    # Fallback rows already credited their busy time through _account();
+    # add the inline rows' share.  (The ReplayStats breakdown uses the
+    # fold, which runs in service order and is therefore bitwise identical
+    # to the scalar path; the drive's own cumulative counter does not
+    # depend on summation order.)
     stats.busy_ms += busy_sum - busy_start - fallback_busy
 
-    out.issue = issue_o
-    out.completions = comp_o
-    out.seek = seek_o
-    out.settle = settle_o
-    out.head_switch = hs_o
-    out.transfer = transfer_o
-    out.bus = bus_o
-    out.latency_sum = latency_sum
-    out.overlap_sum = overlap_sum
-    out.busy_sum = busy_sum
+    acc.seek = seek_sum
+    acc.settle = settle_sum
+    acc.latency = latency_sum
+    acc.head_switch = hs_sum
+    acc.transfer = transfer_sum
+    acc.bus = bus_sum
+    acc.overlap = overlap_sum
+    acc.busy = busy_sum
+    if arrival_order:
+        out.issue = issue_l
+        out.completions = completions
+    else:
+        out.issue = [issue_l[k] for k in order]
+        out.completions = [completions[k] for k in order]
     return out, forced, now
 
 
@@ -1233,7 +928,8 @@ def replay_kernel_sched(
     trace timestamps in ``mode="open"``, keeping up to ``queue_depth``
     outstanding in ``mode="closed"``) and the ``scheduler``'s vectorized
     ``kernel_select`` hook picks each dispatch from precomputed
-    geometry/score columns.  Returns ``(stats, None)`` on success or
+    geometry/score columns (open FCFS dispatches in arrival order, see
+    :func:`_service_shard`).  Returns ``(stats, None)`` on success or
     ``(None, reason)`` when the kernel is not applicable, with the kernel
     refusal vocabulary (see the module docstring) plus ``"empty trace"``
     and ``"scheduler not kernel-vectorizable"`` for policies that override
@@ -1273,9 +969,9 @@ def replay_kernel_sched(
     ):
         shard_sched = scheduler.clone()
         shard_sched.kernel_reset()
-        outcome, shard_forced, _ = _service_shard_sched(
+        outcome, shard_forced, _ = _service_shard(
             np, drive, shard_sched, s_lbns, s_counts, s_issue, s_read,
-            mode, queue_depth, think_ms,
+            mode, queue_depth, think_ms, agg.shards[shard],
         )
         agg.add_kernel(shard, outcome)
         forced += shard_forced

@@ -19,16 +19,16 @@ aggregator here, :class:`_StreamAggregator`.
 Path selection per replay discipline:
 
 * **open FCFS** -- each chunk is serviced by the columnar kernel
-  (:func:`repro.sim.kernel._service_shard`) with accumulator-fold carry
-  whenever the chunk is eligible, falling back to the exact scalar
-  ``submit_batch`` path per chunk otherwise.  Mixing is bitwise-safe
-  because both paths leave identical drive state.  Chunks whose reads
-  would touch cache state left by *earlier* chunks fall back (the dynamic
-  :func:`repro.sim.kernel.warm_cache_clean` gate), so cache-hit servicing
-  stays on the exact scalar path.
-* **closed FCFS, depth 1** (classic onereq) -- chunks go through the
-  event-batched scheduled kernel (:func:`_service_shard_sched`) with a
-  carried per-shard clock, or through an exact sequential scalar loop.
+  (:func:`repro.sim.kernel._service_shard`, dispatching in arrival order)
+  with accumulator-fold carry whenever the chunk is eligible, falling back
+  to the exact scalar ``submit_batch`` path per chunk otherwise.  Mixing
+  is bitwise-safe because both paths leave identical drive state.  Chunks
+  whose reads would touch cache state left by *earlier* chunks fall back
+  (the dynamic :func:`repro.sim.kernel.warm_cache_clean` gate), so
+  cache-hit servicing stays on the exact scalar path.
+* **closed FCFS, depth 1** (classic onereq) -- chunks go through the same
+  kernel, dispatching from its pending queue, with a carried per-shard
+  clock, or through an exact sequential scalar loop.
 * **open non-FCFS** -- exact scalar persistent-queue streaming: each
   drive's scheduler queue survives across chunks, and dispatch decisions
   at or beyond the next chunk's first timestamp are deferred until that
@@ -39,8 +39,8 @@ Path selection per replay discipline:
   next dispatch, so the queue always holds exactly what an unchunked
   replay's would hold.
 
-The scheduled kernel cannot carry a pending queue across chunks, so a
-scheduled replay uses it only one-shot: :func:`replay_once` tries
+The kernel cannot carry a pending queue across chunks, so a scheduled
+replay uses it only one-shot: :func:`replay_once` tries
 :func:`repro.sim.kernel.replay_kernel_sched` on the whole trace before its
 one chunk takes the scalar queue loop.
 
@@ -188,13 +188,26 @@ class TraceStream:
 # Aggregation
 # --------------------------------------------------------------------------- #
 
+def _fold(acc: float, values) -> float:
+    """``acc + values[0] + values[1] + ...``, added left to right.
+
+    The built-in ``sum`` of floats is compensated from Python 3.12 on, so
+    ``sum(b, sum(a))`` can differ from ``sum(a + b)``: it cannot continue
+    one fold across chunks, nor match the kernel's plain ``+=``."""
+    for value in values:
+        acc += value
+    return acc
+
+
 class _ShardAgg:
     """Per-shard fold state: response events plus breakdown accumulators.
 
     Only ``issues``/``completions`` grow with the stream (8 bytes per
     request each); every per-request timing column is folded into its
     running sum as chunks complete, continuing one exact left fold over
-    the shard's requests in service order, whatever the chunking."""
+    the shard's requests in service order, whatever the chunking: scalar
+    chunks through :func:`_fold`, kernel chunks with the kernel's own
+    ``+=``."""
 
     __slots__ = (
         "issues", "completions", "requests", "seek", "settle", "latency",
@@ -246,16 +259,14 @@ class _StreamAggregator:
         agg.issues.extend(result.issue_times)
         agg.completions.extend(result.completions)
         agg.requests += len(result)
-        # sum(column, acc) continues the left fold of the concatenated
-        # column exactly (same additions in the same order).
-        agg.seek = sum(result.seek_ms, agg.seek)
-        agg.settle = sum(result.settle_ms, agg.settle)
-        agg.latency = sum(result.latency_ms, agg.latency)
-        agg.head_switch = sum(result.head_switch_ms, agg.head_switch)
-        agg.transfer = sum(result.transfer_ms, agg.transfer)
-        agg.bus = sum(result.bus_ms, agg.bus)
-        agg.overlap = sum(result.overlap_ms, agg.overlap)
-        agg.busy = sum(result.media_busy_ms(), agg.busy)
+        agg.seek = _fold(agg.seek, result.seek_ms)
+        agg.settle = _fold(agg.settle, result.settle_ms)
+        agg.latency = _fold(agg.latency, result.latency_ms)
+        agg.head_switch = _fold(agg.head_switch, result.head_switch_ms)
+        agg.transfer = _fold(agg.transfer, result.transfer_ms)
+        agg.bus = _fold(agg.bus, result.bus_ms)
+        agg.overlap = _fold(agg.overlap, result.overlap_ms)
+        agg.busy = _fold(agg.busy, result.media_busy_ms())
         start = min(result.issue_times)
         end = max(result.completions)
         if start < self.start_ms:
@@ -266,24 +277,15 @@ class _StreamAggregator:
     def add_kernel(self, shard: int, out: "_ShardOutcome") -> None:
         """Fold one chunk's kernel ``_ShardOutcome`` for ``shard``.
 
-        The kernel was seeded with this shard's running accumulators
-        (``latency_start``/``overlap_start``/``busy_start``), so its
-        ``*_sum`` fields are already cumulative; the remaining columns are
-        folded here."""
+        The kernel has already continued this shard's breakdown folds in
+        place (it was handed the shard's ``_ShardAgg``); only the response
+        events are added here."""
         if not out.n:
             return
         agg = self.shards[shard]
         agg.issues.extend(out.issue)
         agg.completions.extend(out.completions)
         agg.requests += out.n
-        agg.seek = sum(out.seek, agg.seek)
-        agg.settle = sum(out.settle, agg.settle)
-        agg.head_switch = sum(out.head_switch, agg.head_switch)
-        agg.transfer = sum(out.transfer, agg.transfer)
-        agg.bus = sum(out.bus, agg.bus)
-        agg.latency = out.latency_sum
-        agg.overlap = out.overlap_sum
-        agg.busy = out.busy_sum
         start = min(out.issue)
         end = max(out.completions)
         if start < self.start_ms:
@@ -542,6 +544,7 @@ def _stream_open_fcfs(
 ):
     """Open FCFS streaming: per-chunk kernel service with fold carry,
     per-chunk scalar ``submit_batch`` fallback (bitwise-safe mixing)."""
+    from ..disksim.sched import FCFSScheduler
     from .kernel import _service_shard, eligible_shard_columns
 
     fleet = engine.fleet
@@ -549,6 +552,10 @@ def _stream_open_fcfs(
         fleet.reset()
     np, first_refusal = _kernel_gate(engine)
     agg = _StreamAggregator(fleet, "open")
+    # ``submit_batch`` serves arrival order whatever the engine's scheduler
+    # (an FCFS subclass included); a plain FCFS scheduler gives the kernel
+    # chunks that same order.
+    fcfs = FCFSScheduler()
     kernel_chunks = scalar_chunks = 0
     for chunk in _counted(agg, stream):
         shard_cols = None
@@ -564,12 +571,9 @@ def _stream_open_fcfs(
             ):
                 if not int(s_lbns.shape[0]):
                     continue
-                sh = agg.shards[shard]
-                out = _service_shard(
-                    np, drive, s_lbns, s_counts, s_issue, s_read,
-                    latency_start=sh.latency,
-                    overlap_start=sh.overlap,
-                    busy_start=sh.busy,
+                out, _forced, _now = _service_shard(
+                    np, drive, fcfs, s_lbns, s_counts, s_issue, s_read,
+                    "open", 1, 0.0, agg.shards[shard],
                 )
                 agg.add_kernel(shard, out)
             continue
@@ -605,11 +609,12 @@ def _stream_closed_fcfs(
     reset: bool,
 ):
     """Closed FCFS depth-1 (onereq) streaming with a carried per-shard
-    clock; kernel chunks via the scheduled kernel, scalar chunks via the
-    exact per-shard sequential loop.  Shards share no state (each drive
-    has its own fault RNG and spare), so serving them one after another
-    gives the same per-shard results as any fleet-wide interleaving."""
-    from .kernel import _service_shard_sched, eligible_shard_columns
+    clock; kernel chunks via the kernel's pending-queue dispatch, scalar
+    chunks via the exact per-shard sequential loop.  Shards share no state
+    (each drive has its own fault RNG and spare), so serving them one after
+    another gives the same per-shard results as any fleet-wide
+    interleaving."""
+    from .kernel import _service_shard, eligible_shard_columns
 
     fleet = engine.fleet
     if reset:
@@ -632,18 +637,12 @@ def _stream_closed_fcfs(
             ):
                 if not int(s_lbns.shape[0]):
                     continue
-                sh = agg.shards[shard]
                 sched = engine.scheduler.clone()
                 sched.kernel_reset()
-                out, _forced, shard_now = _service_shard_sched(
+                out, _forced, now[shard] = _service_shard(
                     np, drive, sched, s_lbns, s_counts, s_issue, s_read,
-                    "closed", 1, think_ms,
-                    latency_start=sh.latency,
-                    overlap_start=sh.overlap,
-                    busy_start=sh.busy,
-                    now_start=now[shard],
+                    "closed", 1, think_ms, agg.shards[shard], now[shard],
                 )
-                now[shard] = shard_now
                 agg.add_kernel(shard, out)
             continue
         scalar_chunks += 1
@@ -899,9 +898,10 @@ def replay_once(
     stream.
 
     A NaN or negative timestamp raises :class:`ConfigError`.  A scheduled
-    replay first tries the event-batched scheduled kernel on the whole
-    trace; on refusal its one chunk runs through the exact scalar queue
-    loop, and the kernel's refusal reason is reported.
+    replay first tries the kernel on the whole trace
+    (:func:`repro.sim.kernel.replay_kernel_sched`); on refusal its one
+    chunk runs through the exact scalar queue loop, and the kernel's
+    refusal reason is reported.
     """
     # Check the timestamps before sorting, so an error names the index in
     # the caller's trace.

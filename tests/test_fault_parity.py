@@ -3,7 +3,8 @@
 Two guarantees, parametrized over every replay path:
 
 * a fault-bearing config refuses the columnar kernels with the documented
-  ``last_fast_reason == "fault injection active"`` and lands on the exact
+  ``last_fast_reason == "fault injection active"`` (``"numpy unavailable"``
+  without numpy, which the engine checks first) and lands on the exact
   scalar path, so ``fast=True`` and ``fast=False`` produce identical
   results even under faults;
 * a config whose fault schedule is empty (or absent) is bitwise identical
@@ -17,12 +18,17 @@ import json
 
 import pytest
 
+from _numpy_gate import HAVE_NUMPY
 from repro.api import ScenarioConfig, run_scenario, scenario_hash
 from repro.api.config import DriveConfig, WorkloadConfig
 from repro.api.result import VOLATILE_DETAIL_KEYS
 from repro.faults import DriveFaultConfig, FaultConfig, TransientFaultConfig
 
 SMALL_DRIVE = DriveConfig(cylinders_per_zone=8, num_zones=2)
+
+#: The refusal a fault-bearing replay reports: without numpy the engine
+#: refuses the kernels for that reason first.
+FAULT_REASON = "fault injection active" if HAVE_NUMPY else "numpy unavailable"
 
 FAULTS = FaultConfig(
     seed=13,
@@ -87,7 +93,7 @@ class TestFaultParity:
     def test_faulty_config_reports_fault_reason(self, path, extra):
         result = run_scenario(scenario(faults=FAULTS, **extra), fast=True)
         assert result.details["replay_path"] == "scalar"
-        assert result.details["fast_reason"] == "fault injection active"
+        assert result.details["fast_reason"] == FAULT_REASON
         assert result.replay.extras.get("fault_transient_errors", 0.0) >= 0.0
 
     def test_fast_flag_is_identity_under_faults(self, path, extra):

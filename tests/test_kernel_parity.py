@@ -281,7 +281,7 @@ def test_sequential_readahead_stream_refuses_fast_path():
     assert stats.cache_hits + stats.streamed > 0
 
 
-def test_warm_cache_refuses_fast_path():
+def test_warm_cache_continuation_gated_per_read():
     """Without reset the kernel checks every read against what the warm
     cache holds: a continuation whose reads all miss keeps the kernel and
     matches the scalar path bitwise, a re-read of cached LBNs is refused."""

@@ -281,7 +281,7 @@ def test_custom_scheduler_subclass_is_refused_honestly():
 
 
 @needs_numpy
-def test_warm_cache_state_is_refused():
+def test_warm_cache_continuation_gated_per_read():
     # Without reset, the kernel checks every read against what the warm
     # firmware cache holds: a continuation whose reads all miss keeps the
     # kernel and matches the scalar loop bitwise, and a re-read of cached

@@ -26,7 +26,9 @@ from repro.api import (
 )
 from repro.api.cli import main as cli_main
 from repro.disksim import DiskDrive, small_test_specs
+from repro.disksim.drive import BatchResult
 from repro.disksim.errors import ConfigError, RequestError
+from repro.disksim.sched import FCFSScheduler
 from repro.faults import (
     DriveFaultConfig,
     FaultConfig,
@@ -41,7 +43,12 @@ from repro.sim import (
     import_blktrace,
     iter_blktrace_chunks,
 )
-from repro.sim.stream import run_service
+from repro.sim.kernel import replay_kernel_sched
+from repro.sim.stream import (
+    _StreamAggregator,
+    _stream_open_scheduled,
+    run_service,
+)
 from repro.workloads.arrivals import (
     ARRIVALS,
     arrival_config,
@@ -237,6 +244,109 @@ def test_stream_parity_kernel_path(mode, n_drives):
         assert engine.last_replay_path == "kernel_sched"
     assert engine.last_fast_reason == "ok"
     assert streamed.to_dict() == reference.to_dict()
+
+
+class _QueuedFCFS(FCFSScheduler):
+    """FCFS with a (no-op) removal hook, which the kernel serves from its
+    pending queue through its mirror of ``Scheduler.pop``."""
+
+    def _on_removed(self, entry) -> None:
+        pass
+
+    def kernel_removed(self, view, idx) -> None:
+        pass
+
+
+class _NewestFirstFCFS(FCFSScheduler):
+    """Named ``fcfs``, but its kernel hook would pick the newest request."""
+
+    def kernel_select(self, view) -> int:
+        return len(view.pending) - 1
+
+
+def overloaded_trace(n_drives: int) -> Trace:
+    """300 requests at a hundredth of ``build_trace``'s spacing: arrivals
+    far outrun service, so nearly every request waits in a queue."""
+    local = build_trace(build_fleet(n_drives, caching=False), 300, seed=29)
+    return Trace(
+        [t / 100.0 for t in local.issue_ms], local.lbns, local.counts, local.ops
+    )
+
+
+@needs_numpy
+@pytest.mark.parametrize("n_drives", [1, 3])
+def test_fcfs_starvation_bound_keeps_arrival_order(n_drives):
+    """FCFS always dispatches the oldest request, so a starvation bound
+    can never bend its schedule.  Under overload the bound trips on nearly
+    every dispatch of the paths that apply it -- the scalar queue loop
+    (``Scheduler.pop``) and the kernel's pending-queue mirror of it -- and
+    both must match the kernel's arrival-order dispatch, one-shot and
+    chunked, and the scalar ``submit_batch`` path, bitwise and with no
+    forced dispatches."""
+    bound = 5.0
+    trace = overloaded_trace(n_drives)
+    engine = TraceReplayEngine(
+        build_fleet(n_drives, caching=False), scheduler="fcfs", starvation_ms=bound
+    )
+    queue_loop, _ = _stream_open_scheduled(engine, TraceStream([trace]), True)
+    queue_kernel, reason = replay_kernel_sched(
+        build_fleet(n_drives, caching=False), trace, _QueuedFCFS(starvation_ms=bound)
+    )
+    assert reason is None
+    assert queue_loop.peak_outstanding >= 0.9 * len(trace)
+    assert queue_loop.response["p50"] > 10 * bound
+    for stats in (queue_loop, queue_kernel):
+        assert stats.extras.pop("forced_dispatches") == 0.0
+    assert queue_kernel.to_dict() == queue_loop.to_dict()
+    submit_batch = TraceReplayEngine(
+        build_fleet(n_drives, caching=False), fast=False,
+        scheduler="fcfs", starvation_ms=bound,
+    ).replay(trace)
+    assert submit_batch.to_dict() == queue_loop.to_dict()
+    for stats in (engine.replay(trace), engine.replay_stream(trace.iter_chunks(41))):
+        assert (engine.last_replay_path, engine.last_fast_reason) == ("kernel", "ok")
+        assert stats.extras == {}
+        assert stats.to_dict() == queue_loop.to_dict()
+
+
+@needs_numpy
+def test_open_fcfs_subclass_keeps_arrival_order():
+    """An open replay under a scheduler named ``fcfs`` serves arrival order
+    on every chunk path, as ``submit_batch`` does: the kernel chunks ignore
+    the subclass's hooks too."""
+    trace = overloaded_trace(3)
+    scalar = TraceReplayEngine(
+        build_fleet(3, caching=False), fast=False, scheduler=_NewestFirstFCFS()
+    ).replay(trace)
+    engine = TraceReplayEngine(
+        build_fleet(3, caching=False), scheduler=_NewestFirstFCFS()
+    )
+    for stats in (engine.replay(trace), engine.replay_stream(trace.iter_chunks(41))):
+        assert engine.last_replay_path == "kernel"
+        assert stats.to_dict() == scalar.to_dict()
+
+
+def test_aggregator_fold_continues_across_chunks():
+    """A breakdown column folds left to right whatever the chunking.  The
+    built-in ``sum`` is compensated from Python 3.12 on: continued chunk by
+    chunk it would read 0.0 here, over the whole column 1.0."""
+    seeks = [1e16, 1.0, -1e16]
+
+    def seek_fold(chunks) -> float:
+        agg = _StreamAggregator(build_fleet(1), "open")
+        for chunk in chunks:
+            zeros = [0.0] * len(chunk)
+            agg.add_scalar(0, BatchResult(
+                issue_times=zeros, mech_starts=zeros, seek_ms=chunk,
+                settle_ms=zeros, latency_ms=zeros, head_switch_ms=zeros,
+                transfer_ms=zeros, bus_ms=zeros, overlap_ms=zeros,
+                media_ends=zeros, completions=[1.0] * len(chunk),
+            ))
+        return agg.shards[0].seek
+
+    one_chunk = seek_fold([seeks])
+    assert one_chunk == seek_fold([[seek] for seek in seeks])
+    assert one_chunk == 0.0 + 1e16 + 1.0 + -1e16
 
 
 @needs_numpy
