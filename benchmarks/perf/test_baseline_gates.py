@@ -23,7 +23,7 @@ SCHED_ROW = {"speedup_vs_scalar": 10.0}
 
 
 def _payload(speedup: float) -> dict:
-    return {mode: {"speedup_vs_naive": speedup} for mode in ("batched", "kernel")}
+    return {"kernel": {"speedup_vs_naive": speedup}}
 
 
 def _sched(*policies: str) -> dict:
@@ -35,8 +35,8 @@ def _streaming(ratio: float) -> dict:
 
 
 def test_gates_fail_and_name_a_missing_section():
-    (batched, kernel) = replay._check_regressions({}, _payload(5.0))
-    assert "'batched'" in batched and "'kernel'" in kernel
+    (kernel,) = replay._check_regressions({}, _payload(5.0))
+    assert "'kernel'" in kernel
     (scheduled,) = replay._check_sched_regressions({}, _sched("fcfs"))
     assert "'scheduled'" in scheduled
     (policy,) = replay._check_sched_regressions(
@@ -49,7 +49,7 @@ def test_gates_fail_and_name_a_missing_section():
 
 def test_gates_pass_and_fail_against_a_present_section():
     assert replay._check_regressions(_payload(5.0), _payload(4.5)) == []
-    assert len(replay._check_regressions(_payload(5.0), _payload(3.0))) == 2
+    assert len(replay._check_regressions(_payload(5.0), _payload(3.0))) == 1
     baseline = {"scheduled": _sched("fcfs")}
     assert replay._check_sched_regressions(baseline, _sched("fcfs")) == []
     assert _check_streaming_regression({"streaming": _streaming(0.9)}, _streaming(0.8)) == []

@@ -9,7 +9,7 @@ tree:
 * :class:`WorkloadConfig` -- which registered workload generates the request
   stream, with generator-specific parameters,
 * :class:`ScenarioConfig` -- the experiment itself: traxtent on/off, open
-  vs. closed replay, seeds, batch size.
+  vs. closed replay, seeds.
 
 All four round-trip through plain JSON dictionaries
 (``from_dict(to_dict(c)) == c``), which is what makes scenarios shareable
@@ -166,7 +166,7 @@ class ScenarioConfig:
     """A complete declarative experiment.
 
     ``kind`` selects the experiment family: ``replay`` builds a trace from
-    the workload and replays it through the batched engine; ``efficiency``
+    the workload and replays it through the replay engine; ``efficiency``
     sweeps request sizes with :func:`repro.core.efficiency.efficiency_curve`
     (the paper's Figure 1/6/8 measurement).  ``traxtent`` is the master
     switch for track alignment: it selects the aligned request shape for
@@ -194,7 +194,6 @@ class ScenarioConfig:
     traxtent: bool = True
     mode: str = "open"
     think_ms: float = 0.0
-    batch_size: int = 4096
     seed: int | None = None
     options: dict[str, Any] = field(default_factory=dict)
     faults: FaultConfig | None = None
@@ -212,8 +211,6 @@ class ScenarioConfig:
             object.__setattr__(self, "faults", None)
         if self.mode not in MODES:
             raise ConfigError(f"unknown replay mode {self.mode!r}; one of {MODES}")
-        if self.batch_size <= 0:
-            raise ConfigError("batch_size must be positive")
         policy = self.options.get("scheduler")
         if isinstance(policy, str) and policy != policy.lower():
             # Policy names are case-insensitive at lookup time; normalise
@@ -232,7 +229,6 @@ class ScenarioConfig:
             "traxtent": self.traxtent,
             "mode": self.mode,
             "think_ms": self.think_ms,
-            "batch_size": self.batch_size,
             "seed": self.seed,
             "options": dict(self.options),
         }

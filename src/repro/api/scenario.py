@@ -139,7 +139,6 @@ def _run_replay(config: ScenarioConfig, fast: bool | None = None) -> RunResult:
         )
     engine = TraceReplayEngine(
         fleet,
-        batch_size=config.batch_size,
         fast=fast,
         scheduler=policy,
         starvation_ms=None if starvation is None else float(starvation),
@@ -296,7 +295,6 @@ def _run_service(config: ScenarioConfig, fast: bool | None = None) -> RunResult:
 
     engine = TraceReplayEngine(
         fleet,
-        batch_size=config.batch_size,
         fast=fast,
         scheduler=policy,
         starvation_ms=None if starvation is None else float(starvation),
@@ -454,9 +452,6 @@ class Scenario:
     def seed(self, value: int) -> "Scenario":
         """Seed override applied to seeded workload configs."""
         return self._replace(seed=value)
-
-    def batch_size(self, value: int) -> "Scenario":
-        return self._replace(batch_size=value)
 
     def options(self, **extra: Any) -> "Scenario":
         """Merge kind-specific options (e.g. ``stripe=False``)."""

@@ -25,9 +25,7 @@ ascending LBN order.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 from .bus import BusModel
 from .cache import FirmwareCache
@@ -131,12 +129,11 @@ class _MediaTiming:
 
 @dataclass
 class BatchResult:
-    """Columnar timing results of a batched submission.
+    """Columnar timing results of a run of scalar-path requests.
 
-    One entry per request, in submission order.  Carries exactly the same
-    numbers a sequence of :class:`CompletedRequest` objects would, but as
-    parallel lists so a 50k-request replay does not allocate 50k dataclass
-    instances.
+    One entry per request, in service order.  Carries exactly the numbers
+    the :class:`CompletedRequest` objects did, as parallel lists that the
+    replay aggregator folds column by column.
     """
 
     issue_times: list[float] = field(default_factory=list)
@@ -156,25 +153,12 @@ class BatchResult:
     def __len__(self) -> int:
         return len(self.completions)
 
-    def response_times(self) -> list[float]:
-        """Per-request issue-to-completion times (onereq head times)."""
-        return [c - i for c, i in zip(self.completions, self.issue_times)]
-
     def media_busy_ms(self) -> list[float]:
         """Per-request time the mechanism was dedicated to the request."""
         return [max(0.0, e - s) for e, s in zip(self.media_ends, self.mech_starts)]
 
-    def positioning_ms(self) -> list[float]:
-        """Per-request seek + settle + rotational latency + head switch."""
-        return [
-            s + st + lat + hs
-            for s, st, lat, hs in zip(
-                self.seek_ms, self.settle_ms, self.latency_ms, self.head_switch_ms
-            )
-        ]
-
     def append_completed(self, done: CompletedRequest) -> None:
-        """Append one scalar-path result (used by the fallback paths)."""
+        """Append one serviced request."""
         self.issue_times.append(done.issue_time)
         self.mech_starts.append(done.mech_start)
         self.seek_ms.append(done.seek_ms)
@@ -188,21 +172,6 @@ class BatchResult:
         self.completions.append(done.completion)
         self.cache_hits.append(done.cache_hit)
         self.streamed.append(done.streamed)
-
-    def extend(self, other: "BatchResult") -> None:
-        self.issue_times.extend(other.issue_times)
-        self.mech_starts.extend(other.mech_starts)
-        self.seek_ms.extend(other.seek_ms)
-        self.settle_ms.extend(other.settle_ms)
-        self.latency_ms.extend(other.latency_ms)
-        self.head_switch_ms.extend(other.head_switch_ms)
-        self.transfer_ms.extend(other.transfer_ms)
-        self.bus_ms.extend(other.bus_ms)
-        self.overlap_ms.extend(other.overlap_ms)
-        self.media_ends.extend(other.media_ends)
-        self.completions.extend(other.completions)
-        self.cache_hits.extend(other.cache_hits)
-        self.streamed.extend(other.streamed)
 
 
 @dataclass
@@ -255,12 +224,6 @@ class DiskDrive:
         #: ``None`` keeps the drive healthy and all fast paths eligible.
         self.faults = None
         self.stats = DriveStats()
-        # Memo tables for the batched fast path.  All values are pure
-        # functions of the immutable specs/geometry, so they survive reset().
-        self._seek_cache: dict[int, float] = {}
-        self._track_cache: dict[
-            int, tuple[int, int, int, int, int, int, float, float]
-        ] = {}
         self.reset()
 
     # ------------------------------------------------------------------ #
@@ -297,10 +260,9 @@ class DiskDrive:
         """Attach fault-injection state (see :mod:`repro.faults`).
 
         ``None`` detaches, restoring the healthy drive.  With faults
-        attached every request is serviced by the exact scalar path
-        (:meth:`submit_batch` degrades to a per-request loop and the
-        columnar kernels refuse with ``"fault injection active"``), so the
-        seeded fault RNG advances in deterministic service order.
+        attached every request is serviced by :meth:`submit` (the columnar
+        kernel refuses with ``"fault injection active"``), so the seeded
+        fault RNG advances in deterministic service order.
         """
         self.faults = state
 
@@ -450,404 +412,6 @@ class DiskDrive:
 
     def write(self, lbn: int, count: int, issue_time: float) -> CompletedRequest:
         return self.submit(DiskRequest.write(lbn, count), issue_time)
-
-    # ------------------------------------------------------------------ #
-    # Batched request interface
-    # ------------------------------------------------------------------ #
-    def read_batch(
-        self,
-        lbns: "Sequence[int]",
-        counts: "Sequence[int]",
-        issue_times: "Sequence[float]",
-        out: BatchResult | None = None,
-    ) -> BatchResult:
-        """Service a batch of reads; see :meth:`submit_batch`."""
-        return self.submit_batch([READ] * len(lbns), lbns, counts, issue_times, out)
-
-    def write_batch(
-        self,
-        lbns: "Sequence[int]",
-        counts: "Sequence[int]",
-        issue_times: "Sequence[float]",
-        out: BatchResult | None = None,
-    ) -> BatchResult:
-        """Service a batch of writes; see :meth:`submit_batch`."""
-        return self.submit_batch([WRITE] * len(lbns), lbns, counts, issue_times, out)
-
-    def _track_fast(self, track: int) -> tuple[int, int, int, int, int, int, float, float]:
-        """Drive-level per-track memo: ``(first_lbn, lbn_count, cylinder,
-        surface, spt, skew_offset, sector_ms, streaming_ms_per_sector)``."""
-        first, count, cylinder, surface, spt, skew = self.geometry.track_meta(track)
-        zone = self.geometry.zone_of_cylinder(cylinder)
-        sector_ms = self.specs.sector_time_ms(spt)
-        stream_ms = sector_ms * (spt + zone.track_skew) / spt
-        meta = (first, count, cylinder, surface, spt, skew, sector_ms, stream_ms)
-        self._track_cache[track] = meta
-        return meta
-
-    def submit_batch(
-        self,
-        ops: "Sequence[str]",
-        lbns: "Sequence[int]",
-        counts: "Sequence[int]",
-        issue_times: "Sequence[float]",
-        out: BatchResult | None = None,
-    ) -> BatchResult:
-        """Service many requests in one call, amortizing per-request
-        interpreter overhead.
-
-        Semantically identical to calling :meth:`submit` once per request in
-        order (requests must be given in issue-time order); the results are
-        numerically exact -- the same floats the scalar path produces -- but
-        returned columnar in a :class:`BatchResult` instead of one
-        :class:`CompletedRequest` per request.
-
-        The inlined fast path covers single-track requests on defect-free
-        geometry (the overwhelmingly common case in trace replay); cache
-        hits are also fast-pathed.  Streamed reads, multi-track requests and
-        defective geometries fall back to the exact scalar code per request.
-        """
-        n = len(lbns)
-        if not (len(ops) == len(counts) == len(issue_times) == n):
-            raise RequestError("batch columns must have equal length")
-        result = out if out is not None else BatchResult()
-
-        if self.faults is not None:
-            # Fault injection pins the exact scalar path so the seeded
-            # fault RNG advances once per request in service order.
-            for i in range(n):
-                result.append_completed(
-                    self.submit(
-                        DiskRequest(ops[i], lbns[i], counts[i]), issue_times[i]
-                    )
-                )
-            return result
-
-        geometry = self.geometry
-        specs = self.specs
-        cache = self.cache
-        bus = self.bus
-        fast_geometry = not geometry.has_defects
-        firsts = geometry._track_first_lbn
-        tcounts = geometry._track_lbn_count
-        total_lbns = geometry.total_lbns
-        cmd_ms = bus.command_overhead_ms
-        bus_sector = bus.sector_ms()
-        rotation = specs.rotation_ms
-        head_switch_cost = specs.head_switch_ms
-        write_settle = specs.write_settle_ms
-        zero_latency = self.zero_latency
-        seek_cache = self._seek_cache
-        seek_time = self.seek_curve.seek_time
-        track_cache = self._track_cache
-        track_fast = self._track_fast
-        probe = cache.probe
-        record_read = cache.record_read
-        record_write = cache.record_write
-
-        # Mutable drive state, kept in locals for the duration of the batch.
-        head_cyl = self.head_cylinder
-        head_surf = self.head_surface
-        act_free = self.actuator_free
-        b_free = self.bus_free
-
-        # Column append bindings.
-        add_issue = result.issue_times.append
-        add_mech = result.mech_starts.append
-        add_seek = result.seek_ms.append
-        add_settle = result.settle_ms.append
-        add_lat = result.latency_ms.append
-        add_hs = result.head_switch_ms.append
-        add_xfer = result.transfer_ms.append
-        add_bus = result.bus_ms.append
-        add_ov = result.overlap_ms.append
-        add_mend = result.media_ends.append
-        add_comp = result.completions.append
-        add_hit = result.cache_hits.append
-        add_stream = result.streamed.append
-
-        # Streamed reads always take the scalar fallback (accounted there),
-        # so the fast path only tracks reads/writes/hits.
-        n_reads = n_writes = n_hits = 0
-        sec_read = sec_written = 0
-        drive_stats = self.stats
-        fast_rows = 0
-
-        try:
-            for i in range(n):
-                op = ops[i]
-                lbn = lbns[i]
-                count = counts[i]
-                t_issue = issue_times[i]
-                if op is not READ and op is not WRITE and op not in (READ, WRITE):
-                    raise RequestError(f"unknown opcode {op!r}")
-                if count <= 0:
-                    raise RequestError("request count must be positive")
-                if lbn < 0:
-                    raise RequestError("request LBN must be non-negative")
-                if lbn + count > total_lbns:
-                    raise RequestError(
-                        f"request [{lbn}, {lbn + count}) exceeds "
-                        f"device capacity of {total_lbns} sectors"
-                    )
-
-                mech_start = t_issue + cmd_ms
-                if act_free > mech_start:
-                    mech_start = act_free
-
-                is_read = op == READ
-                if is_read:
-                    full_hit, _, stream_from = probe(lbn, count, mech_start)
-                    if full_hit:
-                        floor = t_issue + cmd_ms
-                        if b_free > floor:
-                            floor = b_free
-                        total_bus = count * bus_sector
-                        completion = floor + total_bus
-                        b_free = completion
-                        n_reads += 1
-                        n_hits += 1
-                        sec_read += count
-                        add_issue(t_issue)
-                        add_mech(mech_start)
-                        add_seek(0.0)
-                        add_settle(0.0)
-                        add_lat(0.0)
-                        add_hs(0.0)
-                        add_xfer(0.0)
-                        add_bus(total_bus)
-                        add_ov(0.0)
-                        add_mend(mech_start)
-                        add_comp(completion)
-                        add_hit(True)
-                        add_stream(False)
-                        fast_rows += 1
-                        continue
-                    fast_ok = fast_geometry and stream_from is None
-                else:
-                    fast_ok = fast_geometry
-
-                if fast_ok:
-                    track = bisect_right(firsts, lbn) - 1
-                    while tcounts[track] == 0:
-                        track -= 1
-                    meta = track_cache.get(track)
-                    if meta is None:
-                        meta = track_fast(track)
-                    first, tcount, cyl, surf, spt, skew, sector_ms, stream_ms = meta
-                    if lbn + count > first + tcount:
-                        fast_ok = False  # multi-track: exact scalar fallback
-
-                if not fast_ok:
-                    # Exact scalar fallback (streamed reads, multi-track
-                    # requests, defective geometry).  Sync state both ways.
-                    self.head_cylinder = head_cyl
-                    self.head_surface = head_surf
-                    self.actuator_free = act_free
-                    self.bus_free = b_free
-                    request = DiskRequest(op, lbn, count)
-                    if is_read:
-                        done = self._service_read(request, t_issue, mech_start)
-                    else:
-                        done = self._service_write(request, t_issue, mech_start)
-                    self._account(done)
-                    head_cyl = self.head_cylinder
-                    head_surf = self.head_surface
-                    act_free = self.actuator_free
-                    b_free = self.bus_free
-                    result.append_completed(done)
-                    continue
-
-                # ---------------- inlined single-track service ---------- #
-                distance = head_cyl - cyl
-                if distance < 0:
-                    distance = -distance
-                seek_ms = seek_cache.get(distance)
-                if seek_ms is None:
-                    seek_ms = seek_time(distance)
-                    seek_cache[distance] = seek_ms
-                hs_ms = 0.0
-                if distance == 0 and surf != head_surf:
-                    hs_ms = head_switch_cost
-
-                if is_read:
-                    settle = 0.0
-                    t = mech_start + seek_ms + hs_ms
-                    not_before = 0.0
-                else:
-                    start_w = t_issue + cmd_ms
-                    if b_free > start_w:
-                        start_w = b_free
-                    first_ready = start_w + bus_sector
-                    bus_done = start_w + count * bus_sector
-                    settle = write_settle
-                    t = mech_start + seek_ms + settle + hs_ms
-                    not_before = first_ready
-                if not_before > t:
-                    t = not_before
-
-                # access_arc inlined (arc_start_slot = lbn - first on a
-                # defect-free track; arc_len == count <= spt).
-                start_slot = lbn - first
-                head_angle = ((t % rotation) / rotation) * spt
-                head_slot = (head_angle - skew) % spt
-                rel = (head_slot - start_slot) % spt
-                transfer = count * sector_ms
-
-                two_runs = False
-                if rel >= count or not zero_latency:
-                    # Gap (or ordinary firmware): wait for the arc start.
-                    latency = (spt - rel) * sector_ms
-                    media_ms = latency + transfer
-                    run_cnt0 = count
-                    run_b0 = latency
-                    run_e0 = latency + transfer
-                else:
-                    # Zero-latency firmware landed inside the arc.
-                    split = int(rel) + 1
-                    if split > count:
-                        split = count
-                    tail = count - split
-                    media_ms = spt * sector_ms
-                    latency = media_ms - transfer
-                    wrap_begin = media_ms - split * sector_ms
-                    if tail > 0:
-                        two_runs = True
-                        tb = (split - rel) * sector_ms if split > rel else 0.0
-                        if tb < 0.0:
-                            tb = 0.0
-                        tail_end = tb + tail * sector_ms
-                    else:
-                        run_cnt0 = split
-                        run_b0 = wrap_begin
-                        run_e0 = media_ms
-
-                media_end = t + media_ms
-
-                if is_read:
-                    earliest_bus = t_issue + cmd_ms
-                    floor = earliest_bus
-                    if b_free > floor:
-                        floor = b_free
-                    total_bus = count * bus_sector
-                    if two_runs:
-                        # Runs in LBN order: wrap [0, split) then tail
-                        # [split, count); media order is the reverse.
-                        a_begin = t + tb
-                        a_end = t + tail_end
-                        b_begin = t + wrap_begin
-                        b_end = t + media_ms
-                        bus_media_end = b_end if b_end > a_end else a_end
-                        if a_begin < b_begin:
-                            # Out-of-LBN-order media: no overlap possible.
-                            start_b = floor if floor > bus_media_end else bus_media_end
-                            bus_completion = start_b + total_bus
-                            overlap = 0.0
-                        else:
-                            bus_completion = floor + total_bus
-                            alt = bus_media_end + bus_sector
-                            if alt > bus_completion:
-                                bus_completion = alt
-                            per_b = (b_end - b_begin) / split
-                            avail_b = b_begin + split * per_b
-                            if avail_b < 0.0:
-                                avail_b = 0.0
-                            cand = avail_b if avail_b > floor else floor
-                            cand = cand + (count - split) * bus_sector
-                            if cand > bus_completion:
-                                bus_completion = cand
-                            per_a = (a_end - a_begin) / tail
-                            avail_a = a_begin + tail * per_a
-                            avail = avail_b if avail_b > avail_a else avail_a
-                            if avail < 0.0:
-                                avail = 0.0
-                            cand = avail if avail > floor else floor
-                            if cand > bus_completion:
-                                bus_completion = cand
-                            overlap = total_bus - (bus_completion - bus_media_end)
-                            if overlap < 0.0:
-                                overlap = 0.0
-                            elif overlap > total_bus:
-                                overlap = total_bus
-                    else:
-                        b_begin = t + run_b0
-                        b_end = t + run_e0
-                        bus_media_end = b_end
-                        bus_completion = floor + total_bus
-                        alt = bus_media_end + bus_sector
-                        if alt > bus_completion:
-                            bus_completion = alt
-                        per = (b_end - b_begin) / run_cnt0
-                        avail = b_begin + run_cnt0 * per
-                        if avail < 0.0:
-                            avail = 0.0
-                        cand = avail if avail > floor else floor
-                        if cand > bus_completion:
-                            bus_completion = cand
-                        overlap = total_bus - (bus_completion - bus_media_end)
-                        if overlap < 0.0:
-                            overlap = 0.0
-                        elif overlap > total_bus:
-                            overlap = total_bus
-
-                    completion = bus_completion if bus_completion > media_end else media_end
-                    head_cyl = cyl
-                    head_surf = surf
-                    act_free = media_end
-                    if completion > b_free:
-                        b_free = completion
-                    record_read(lbn, count, media_end, stream_ms)
-                    n_reads += 1
-                    sec_read += count
-                else:
-                    completion = media_end
-                    total_bus = count * bus_sector
-                    mn = bus_done if bus_done < media_end else media_end
-                    overlap = mn - (first_ready - bus_sector)
-                    if overlap < 0.0:
-                        overlap = 0.0
-                    if overlap > total_bus:
-                        overlap = total_bus
-                    b_free = bus_done
-                    head_cyl = cyl
-                    head_surf = surf
-                    act_free = media_end
-                    record_write(lbn, count)
-                    n_writes += 1
-                    sec_written += count
-
-                # Accumulated in request order (not batched at the end) so
-                # busy_ms stays bitwise identical to the scalar path.
-                busy = media_end - mech_start
-                if busy > 0.0:
-                    drive_stats.busy_ms += busy
-                add_issue(t_issue)
-                add_mech(mech_start)
-                add_seek(seek_ms)
-                add_settle(settle)
-                add_lat(latency)
-                add_hs(hs_ms)
-                add_xfer(transfer)
-                add_bus(total_bus)
-                add_ov(overlap)
-                add_mend(media_end)
-                add_comp(completion)
-                add_hit(False)
-                add_stream(False)
-                fast_rows += 1
-        finally:
-            self.head_cylinder = head_cyl
-            self.head_surface = head_surf
-            self.actuator_free = act_free
-            self.bus_free = b_free
-            drive_stats.requests += fast_rows
-            drive_stats.reads += n_reads
-            drive_stats.writes += n_writes
-            drive_stats.cache_hits += n_hits
-            drive_stats.sectors_read += sec_read
-            drive_stats.sectors_written += sec_written
-
-        return result
 
     # ------------------------------------------------------------------ #
     # Helpers

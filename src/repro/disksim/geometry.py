@@ -180,7 +180,6 @@ class DiskGeometry:
         # Memo caches for the hot translation paths (values are pure
         # functions of the immutable geometry, so sharing is safe).
         self._skew_cache: dict[int, int] = {}
-        self._track_meta_cache: dict[int, tuple[int, int, int, int, int, int]] = {}
         self._build()
         self._has_defects = bool(self.defects) or bool(self._remap_by_lbn)
 
@@ -551,29 +550,6 @@ class DiskGeometry:
     # ------------------------------------------------------------------ #
     # Memoized / vectorized translation fast paths
     # ------------------------------------------------------------------ #
-    def track_meta(self, track: int) -> tuple[int, int, int, int, int, int]:
-        """Memoized per-track tuple ``(first_lbn, lbn_count, cylinder,
-        surface, sectors_per_track, skew_offset)``.
-
-        This is the working set of the batched drive service path: one dict
-        probe replaces four separate geometry calls per request.
-        """
-        cached = self._track_meta_cache.get(track)
-        if cached is not None:
-            return cached
-        cylinder, surface = self.track_to_cyl_surface(track)
-        zone = self.zone_of_cylinder(cylinder)
-        meta = (
-            self._track_first_lbn[track],
-            self._track_lbn_count[track],
-            cylinder,
-            surface,
-            zone.sectors_per_track,
-            self.skew_offset(track),
-        )
-        self._track_meta_cache[track] = meta
-        return meta
-
     def translate_batch(
         self, lbns: Sequence[int]
     ) -> tuple[list[int], list[int], list[int], list[int]]:

@@ -12,8 +12,8 @@ and ``pop``-s one whenever the drive is ready to start its next mechanical
 access; the policy decides *which* queued request goes next.  Five policies
 are registered:
 
-* ``fcfs``     -- arrival order (the pre-scheduler behaviour; the batched
-  engine and the columnar kernel remain bitwise identical under it),
+* ``fcfs``     -- arrival order (the pre-scheduler behaviour; the scalar
+  oracle and the columnar kernel remain bitwise identical under it),
 * ``sstf``     -- shortest seek time first: minimise cylinder distance from
   the current head position,
 * ``sptf``     -- shortest positioning time first: minimise the *full*

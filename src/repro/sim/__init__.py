@@ -1,10 +1,10 @@
-"""Batched trace-replay engine with multi-drive fan-out.
+"""Trace-replay engine with multi-drive fan-out.
 
 This subpackage is the scale layer of the reproduction: it replays large
 request traces (captured from the workload generators or synthesised
 directly) against one drive or a fleet of LBN-range-sharded drives, using
-the batched drive interface so figure-scale experiments do not pay a
-Python call per request.
+a columnar numpy kernel so figure-scale experiments do not pay a Python
+call per request.
 
 Typical use::
 

@@ -1,4 +1,4 @@
-"""The batched trace-replay engine.
+"""The trace-replay engine.
 
 :class:`TraceReplayEngine` replays a :class:`~repro.sim.trace.Trace`
 against one drive or an :class:`~repro.sim.shard.LbnRangeShard` fleet and
@@ -9,8 +9,8 @@ supported:
   trace; each drive applies its own actuator/bus availability, so queueing
   develops naturally when arrivals outrun service.  Per-shard streams are
   serviced by the columnar kernel (:mod:`repro.sim.kernel`) or, where it
-  refuses, through :meth:`DiskDrive.submit_batch`, which amortizes the
-  Python-level per-request overhead of the exact scalar path.
+  refuses, by the exact scalar oracle: one :meth:`DiskDrive.submit` per
+  request.
 * **closed** replay -- trace timestamps are ignored; each drive keeps
   exactly one request outstanding (onereq semantics, Section 5.2 of the
   paper), issuing the next one when the previous one completes.
@@ -114,13 +114,14 @@ class ReplayStats:
 class TraceReplayEngine:
     """Replay request traces against a drive or a sharded fleet.
 
-    ``fast`` selects the replay implementation for open replays:
+    ``fast`` selects the replay implementation:
 
     * ``None`` (default) -- auto: use the columnar numpy kernel
       (:mod:`repro.sim.kernel`) whenever it is applicable, otherwise the
-      scalar batched path.  Results are bitwise identical either way.
+      exact scalar oracle, one :meth:`DiskDrive.submit` per request.
+      Results are bitwise identical either way.
     * ``True``  -- same as auto (the flag exists so configs can pin it).
-    * ``False`` -- always use the scalar batched path.
+    * ``False`` -- always use the scalar oracle.
 
     After every replay, :attr:`last_replay_path` reports which
     implementation ran (``"kernel"`` for an open FCFS replay on the
@@ -138,8 +139,8 @@ class TraceReplayEngine:
     ``"defective geometry"``,
     ``"out-of-order bus"``,
     ``"unknown opcode"``, ``"invalid request"``,
-    ``"request exceeds fleet capacity"``,
-    ``"shard-boundary-crossing requests"``,
+    ``"request exceeds fleet capacity"`` (the scalar path then raises
+    :class:`~repro.disksim.errors.RequestError` for the bad request),
     ``"firmware-cache-sensitive reuse"`` or
     ``"scheduler not kernel-vectorizable"``.  Streaming replays
     (:meth:`replay_stream`/:meth:`replay_closed_stream`) may additionally
@@ -151,11 +152,10 @@ class TraceReplayEngine:
     ``scheduler`` selects the drive-level dispatch policy (a name from
     :func:`repro.disksim.sched.available_schedulers`, a
     :class:`~repro.disksim.sched.Scheduler` instance used as a per-drive
-    prototype, or ``None`` = FCFS).  Under FCFS the engine keeps its classic
-    batched/kernel fast paths and is bitwise identical to the
-    pre-scheduler engine (a starvation bound never changes an FCFS
-    schedule).  Any other policy replays through the same kernel
-    (:func:`repro.sim.kernel.replay_kernel_sched`,
+    prototype, or ``None`` = FCFS).  Under FCFS every replay is served in
+    arrival order, on the kernel or the scalar oracle, and a starvation
+    bound never changes that schedule.  Any other policy replays through
+    the same kernel (:func:`repro.sim.kernel.replay_kernel_sched`,
     ``last_replay_path == "kernel_sched"``) whenever it is applicable,
     falling back to the exact scalar queue loop otherwise; results are
     bitwise identical either way.
@@ -174,14 +174,11 @@ class TraceReplayEngine:
     def __init__(
         self,
         target: ReplayTarget,
-        batch_size: int = 4096,
         fast: bool | None = None,
         scheduler: "str | Scheduler | None" = None,
         starvation_ms: float | None = None,
         queue_depth: int = 1,
     ) -> None:
-        if batch_size <= 0:
-            raise RequestError("batch_size must be positive")
         if queue_depth < 1:
             raise RequestError("queue_depth must be positive")
         if isinstance(target, LbnRangeShard):
@@ -190,7 +187,6 @@ class TraceReplayEngine:
             self.fleet = LbnRangeShard([target])
         else:
             self.fleet = LbnRangeShard(list(target))
-        self.batch_size = batch_size
         self.fast = fast
         self.scheduler = make_scheduler(scheduler, starvation_ms)
         self.scheduler_name = self.scheduler.name
@@ -208,9 +204,9 @@ class TraceReplayEngine:
         a stream (:func:`repro.sim.stream.replay_once`).  Under FCFS each
         shard's requests are serviced in arrival order by the columnar
         kernel when it is enabled (``fast`` is ``None`` or ``True``) and
-        applicable, and otherwise in batches through
-        :meth:`DiskDrive.submit_batch`, which is numerically exact against
-        per-request :meth:`DiskDrive.submit`.
+        applicable, and otherwise by one :meth:`DiskDrive.submit` per
+        request.  A request that crosses a drive boundary is split into one
+        piece per drive on either path.
 
         With a non-FCFS scheduler, requests are admitted at their
         timestamps into each drive's pending queue and dispatched by the

@@ -11,7 +11,9 @@ per-request work split into two phases:
   numpy array math up front: LBN -> (track, cylinder, surface, slot)
   translation (``searchsorted`` over the per-track tables), seek-curve
   evaluation (a per-curve lookup table), media-transfer and bus-transfer
-  columns, request validation and shard routing;
+  columns, request validation and shard routing (a request that crosses
+  a shard boundary is split into one piece per drive, as
+  :meth:`~repro.sim.shard.LbnRangeShard.route` splits it);
 * **serial recurrence** -- only the state that genuinely chains from one
   request to the next (actuator free time, bus free time, head position,
   queue admission and the rotation-phase-dependent latency) runs in a
@@ -40,7 +42,6 @@ exact scalar path) whenever its model could diverge from the scalar one:
 * a fault schedule is attached to some drive,
 * any drive's geometry has slipped/remapped defects,
 * any drive uses an out-of-order bus,
-* any request crosses a shard boundary (fleet splitting),
 * the trace exhibits *firmware-cache-sensitive reuse*: some read's start
   LBN falls inside another read's cached-plus-readahead window
   (:func:`_cache_sensitive`, static and conservative: it ignores request
@@ -124,7 +125,7 @@ def geometry_tables(geometry: "DiskGeometry"):
         spt[lo:hi] = zone_spt
         sector_ms[lo:hi] = zone_sector_ms
         # Sustained streaming rate including skew (what record_read feeds
-        # the prefetch model) -- same formula as DiskDrive._track_fast.
+        # the prefetch model) -- DiskDrive.streaming_ms_per_sector's formula.
         stream_ms[lo:hi] = zone_sector_ms * (zone_spt + zone.track_skew) / zone_spt
         # skew_offset vectorized: k head switches + cylinder crossings
         # since the start of the zone (same formula as the scalar memo).
@@ -273,13 +274,15 @@ def trace_columns(np, fleet: "LbnRangeShard", ordered: "Trace"):
 def shard_split(np, fleet: "LbnRangeShard", lbns, counts, issue, is_read):
     """Split validated columns into per-shard local columns.
 
-    Returns ``(shard_cols, None)`` -- one ``(lbns, counts, issue, is_read)``
-    tuple per drive, LBNs shard-local -- or ``(None, reason)`` when some
-    request crosses a shard boundary.
+    Returns ``(shard_cols, split)``: one ``(lbns, counts, issue, is_read)``
+    tuple per drive, LBNs shard-local and rows in trace order, and the
+    number of requests that cross a shard boundary.  A request over ``k``
+    drives becomes ``k`` pieces, one per drive, each with the request's
+    timestamp and op: the pieces :meth:`LbnRangeShard.route` makes.
     """
     n_shards = len(fleet.drives)
     if n_shards == 1:
-        return [(lbns, counts, issue, is_read)], None
+        return [(lbns, counts, issue, is_read)], 0
     starts = np.asarray(
         [fleet.shard_range(s)[0] for s in range(n_shards)], dtype=np.int64
     )
@@ -287,14 +290,25 @@ def shard_split(np, fleet: "LbnRangeShard", lbns, counts, issue, is_read):
         [fleet.shard_range(s)[1] for s in range(n_shards)], dtype=np.int64
     )
     shard = np.searchsorted(starts, lbns, side="right") - 1
-    if bool((lbns + counts > ends[shard]).any()):
-        return None, "shard-boundary-crossing requests"
+    pieces = np.searchsorted(starts, lbns + counts - 1, side="right") - shard
+    split = int(np.count_nonzero(pieces > 1))
+    if split:
+        # Expand every request into its pieces: piece j of request i goes
+        # to drive shard[i] + j.
+        row = np.repeat(np.arange(lbns.shape[0]), pieces)
+        first = np.cumsum(pieces) - pieces
+        shard = shard[row] + (np.arange(row.shape[0]) - first[row])
+        end = np.minimum(lbns[row] + counts[row], ends[shard])
+        lbns = np.maximum(lbns[row], starts[shard])
+        counts = end - lbns
+        issue = issue[row]
+        is_read = is_read[row]
     local = lbns - starts[shard]
     shard_cols = []
     for s in range(n_shards):
         mask = shard == s
         shard_cols.append((local[mask], counts[mask], issue[mask], is_read[mask]))
-    return shard_cols, None
+    return shard_cols, split
 
 
 def eligible_shard_columns(
@@ -302,26 +316,33 @@ def eligible_shard_columns(
 ):
     """Kernel-eligible per-shard columns of a trace in admission order.
 
-    Returns ``(shard_cols, None)`` as :func:`shard_split` does, or
-    ``(None, reason)`` from :func:`trace_columns`, :func:`shard_split` or
-    the cache gates: every read must be a guaranteed miss, both against the
-    other reads of its shard (:func:`_cache_sensitive`) and, with ``warm``,
-    against what the drive's cache holds now (:func:`warm_cache_clean`).  A
-    replay that resets the fleet before servicing passes ``warm=False``:
-    the caches it will run against are pristine.
+    Returns ``(shard_cols, split, None)`` as :func:`shard_split` does, or
+    ``(None, 0, reason)`` from :func:`trace_columns` or the cache gates:
+    every read must be a guaranteed miss, both against the other reads of
+    its shard (:func:`_cache_sensitive`) and, with ``warm``, against what
+    the drive's cache holds now (:func:`warm_cache_clean`).  A replay that
+    resets the fleet before servicing passes ``warm=False``: the caches it
+    will run against are pristine.  The caller adds the routing counters
+    (:func:`count_routing`) once it commits to the columns.
     """
     columns, reason = trace_columns(np, fleet, ordered)
     if reason is not None:
-        return None, reason
-    shard_cols, reason = shard_split(np, fleet, *columns)
-    if reason is not None:
-        return None, reason
+        return None, 0, reason
+    shard_cols, split = shard_split(np, fleet, *columns)
     for (lbns, counts, _issue, is_read), drive in zip(shard_cols, fleet.drives):
         if _cache_sensitive(np, drive.cache, lbns, counts, is_read) or (
             warm and not warm_cache_clean(np, drive.cache, lbns, is_read)
         ):
-            return None, "firmware-cache-sensitive reuse"
-    return shard_cols, None
+            return None, 0, "firmware-cache-sensitive reuse"
+    return shard_cols, split, None
+
+
+def count_routing(fleet: "LbnRangeShard", shard_cols, split: int) -> None:
+    """Add committed kernel columns to the fleet's routing counters, as
+    :meth:`LbnRangeShard.route` counts them: one routed request per piece,
+    one split request per boundary-crossing request."""
+    fleet.routed_requests += sum(int(cols[0].shape[0]) for cols in shard_cols)
+    fleet.split_requests += split
 
 
 # --------------------------------------------------------------------------- #
@@ -678,8 +699,7 @@ def _service_shard(
 
         if any_multi and multi_l[idx]:
             # Multi-track request: exact scalar fallback with state synced
-            # both ways (same contract as submit_batch's fallback).  The
-            # reuse gate guarantees its cache lookup misses.
+            # both ways.  The reuse gate guarantees its cache lookup misses.
             drive.head_cylinder = ecyl_l[prev]
             drive.head_surface = esurf_l[prev]
             drive.actuator_free = act_free
@@ -953,7 +973,9 @@ def replay_kernel_sched(
     else:
         # Closed replay ignores timestamps and admits in raw trace order.
         ordered = trace
-    shard_cols, reason = eligible_shard_columns(np, fleet, ordered, warm=not reset)
+    shard_cols, split, reason = eligible_shard_columns(
+        np, fleet, ordered, warm=not reset
+    )
     if reason is not None:
         return None, reason
 
@@ -962,7 +984,7 @@ def replay_kernel_sched(
         fleet.reset()
     agg = _StreamAggregator(fleet, mode)
     agg.trace_requests = len(trace)
-    fleet.routed_requests += len(trace)
+    count_routing(fleet, shard_cols, split)
     forced = 0
     for shard, ((s_lbns, s_counts, s_issue, s_read), drive) in enumerate(
         zip(shard_cols, fleet.drives)
@@ -983,6 +1005,7 @@ def replay_kernel_sched(
 
 __all__ = [
     "clear_kernel_tables",
+    "count_routing",
     "eligible_shard_columns",
     "fleet_eligibility",
     "geometry_tables",

@@ -21,11 +21,13 @@ Path selection per replay discipline:
 * **open FCFS** -- each chunk is serviced by the columnar kernel
   (:func:`repro.sim.kernel._service_shard`, dispatching in arrival order)
   with accumulator-fold carry whenever the chunk is eligible, falling back
-  to the exact scalar ``submit_batch`` path per chunk otherwise.  Mixing
-  is bitwise-safe because both paths leave identical drive state.  Chunks
-  whose reads would touch cache state left by *earlier* chunks fall back
-  (the dynamic :func:`repro.sim.kernel.warm_cache_clean` gate), so
-  cache-hit servicing stays on the exact scalar path.
+  per chunk otherwise to the exact scalar oracle: one
+  :meth:`~repro.disksim.drive.DiskDrive.submit` per routed request, in
+  arrival order.  Mixing is bitwise-safe because both paths leave
+  identical drive state.  Chunks whose reads would touch cache state left
+  by *earlier* chunks fall back (the dynamic
+  :func:`repro.sim.kernel.warm_cache_clean` gate), so cache-hit servicing
+  stays on the exact scalar path.
 * **closed FCFS, depth 1** (classic onereq) -- chunks go through the same
   kernel, dispatching from its pending queue, with a carried per-shard
   clock, or through an exact sequential scalar loop.
@@ -543,16 +545,16 @@ def _stream_open_fcfs(
     engine: "TraceReplayEngine", stream: TraceStream, reset: bool
 ):
     """Open FCFS streaming: per-chunk kernel service with fold carry,
-    per-chunk scalar ``submit_batch`` fallback (bitwise-safe mixing)."""
+    per-chunk scalar ``submit`` fallback (bitwise-safe mixing)."""
     from ..disksim.sched import FCFSScheduler
-    from .kernel import _service_shard, eligible_shard_columns
+    from .kernel import _service_shard, count_routing, eligible_shard_columns
 
     fleet = engine.fleet
     if reset:
         fleet.reset()
     np, first_refusal = _kernel_gate(engine)
     agg = _StreamAggregator(fleet, "open")
-    # ``submit_batch`` serves arrival order whatever the engine's scheduler
+    # The scalar chunks serve arrival order whatever the engine's scheduler
     # (an FCFS subclass included); a plain FCFS scheduler gives the kernel
     # chunks that same order.
     fcfs = FCFSScheduler()
@@ -560,12 +562,12 @@ def _stream_open_fcfs(
     for chunk in _counted(agg, stream):
         shard_cols = None
         if np is not None:
-            shard_cols, reason = eligible_shard_columns(np, fleet, chunk)
+            shard_cols, split, reason = eligible_shard_columns(np, fleet, chunk)
             if shard_cols is None and first_refusal is None:
                 first_refusal = reason
         if shard_cols is not None:
             kernel_chunks += 1
-            fleet.routed_requests += len(chunk)
+            count_routing(fleet, shard_cols, split)
             for shard, ((s_lbns, s_counts, s_issue, s_read), drive) in enumerate(
                 zip(shard_cols, fleet.drives)
             ):
@@ -581,21 +583,13 @@ def _stream_open_fcfs(
         shard_ops, shard_lbns, shard_counts, shard_times = engine._route_open(
             chunk
         )
-        batch = engine.batch_size
         for shard, drive in enumerate(fleet.drives):
-            ops = shard_ops[shard]
-            if not ops:
-                continue
             result = BatchResult()
-            for lo in range(0, len(ops), batch):
-                hi = lo + batch
-                drive.submit_batch(
-                    ops[lo:hi],
-                    shard_lbns[shard][lo:hi],
-                    shard_counts[shard][lo:hi],
-                    shard_times[shard][lo:hi],
-                    out=result,
-                )
+            for op, lbn, count, t in zip(
+                shard_ops[shard], shard_lbns[shard], shard_counts[shard],
+                shard_times[shard],
+            ):
+                result.append_completed(drive.submit(DiskRequest(op, lbn, count), t))
             agg.add_scalar(shard, result)
     return _finish(
         engine, agg, kernel_chunks, scalar_chunks, "kernel", first_refusal
@@ -614,7 +608,7 @@ def _stream_closed_fcfs(
     (each drive has its own fault RNG and spare), so serving them one after
     another gives the same per-shard results as any fleet-wide
     interleaving."""
-    from .kernel import _service_shard, eligible_shard_columns
+    from .kernel import _service_shard, count_routing, eligible_shard_columns
 
     fleet = engine.fleet
     if reset:
@@ -626,12 +620,12 @@ def _stream_closed_fcfs(
     for chunk in _counted(agg, stream):
         shard_cols = None
         if np is not None:
-            shard_cols, reason = eligible_shard_columns(np, fleet, chunk)
+            shard_cols, split, reason = eligible_shard_columns(np, fleet, chunk)
             if shard_cols is None and first_refusal is None:
                 first_refusal = reason
         if shard_cols is not None:
             kernel_chunks += 1
-            fleet.routed_requests += len(chunk)
+            count_routing(fleet, shard_cols, split)
             for shard, ((s_lbns, s_counts, s_issue, s_read), drive) in enumerate(
                 zip(shard_cols, fleet.drives)
             ):

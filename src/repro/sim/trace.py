@@ -9,8 +9,8 @@ or different firmware settings, and replayed in large batches instead of
 one Python call per request.
 
 Storage is columnar (four parallel lists) so a million-request trace costs
-four lists rather than a million record objects, and can be handed to
-:meth:`repro.disksim.drive.DiskDrive.submit_batch` without repacking.
+four lists rather than a million record objects, and converts to the replay
+kernel's numpy columns without repacking.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from ..disksim.drive import READ, WRITE, CompletedRequest, DiskRequest
 from ..disksim.errors import RequestError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..disksim.drive import BatchResult, DiskDrive
+    from ..disksim.drive import DiskDrive
     from ..disksim.geometry import DiskGeometry
 
 
@@ -246,36 +246,6 @@ class TraceRecordingDrive:
 
     def write(self, lbn: int, count: int, issue_time: float) -> CompletedRequest:
         return self.submit(DiskRequest.write(lbn, count), issue_time)
-
-    def submit_batch(
-        self,
-        ops: Sequence[str],
-        lbns: Sequence[int],
-        counts: Sequence[int],
-        issue_times: Sequence[float],
-        out: "BatchResult | None" = None,
-    ) -> "BatchResult":
-        for t, lbn, count, op in zip(issue_times, lbns, counts, ops):
-            self.trace.append(t, lbn, count, op)
-        return self._drive.submit_batch(ops, lbns, counts, issue_times, out)
-
-    def read_batch(
-        self,
-        lbns: Sequence[int],
-        counts: Sequence[int],
-        issue_times: Sequence[float],
-        out: "BatchResult | None" = None,
-    ) -> "BatchResult":
-        return self.submit_batch(["read"] * len(lbns), lbns, counts, issue_times, out)
-
-    def write_batch(
-        self,
-        lbns: Sequence[int],
-        counts: Sequence[int],
-        issue_times: Sequence[float],
-        out: "BatchResult | None" = None,
-    ) -> "BatchResult":
-        return self.submit_batch(["write"] * len(lbns), lbns, counts, issue_times, out)
 
 
 __all__ = ["Trace", "TraceRecord", "TraceRecordingDrive"]

@@ -65,7 +65,6 @@ CONFIGS = [
         traxtent=False,
         mode="closed",
         think_ms=1.5,
-        batch_size=128,
         seed=99,
         options={"sizes_sectors": [66, 132], "queue_depth": 1},
     ),
@@ -103,8 +102,6 @@ def test_config_validation_errors():
         ScenarioConfig(kind="nope")
     with pytest.raises(ConfigError):
         ScenarioConfig(mode="sideways")
-    with pytest.raises(ConfigError):
-        ScenarioConfig(batch_size=0)
     with pytest.raises(ConfigError):
         FleetConfig(n_drives=0)
     with pytest.raises(ConfigError):

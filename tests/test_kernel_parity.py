@@ -1,9 +1,9 @@
 """Kernel-vs-scalar parity suite for the columnar replay fast path.
 
 The contract of :mod:`repro.sim.kernel` is *bitwise* agreement with the
-scalar batched path: every integer counter identical, every timing
-statistic the exact same float (which trivially satisfies the documented
-<= 1e-6 relative tolerance).  These tests replay the same traces through
+scalar oracle, ``DiskDrive.submit``: every integer counter identical,
+every timing statistic the exact same float (which trivially satisfies the
+documented <= 1e-6 relative tolerance).  These tests replay the same traces through
 ``TraceReplayEngine(fast=False)`` and ``fast=True`` on freshly built
 identical targets and compare the full ``ReplayStats.to_dict()`` payloads,
 across aligned/unaligned, read/write, single-drive and 4-way-sharded

@@ -20,7 +20,8 @@ and requires ``ReplayStats.to_dict()`` equality, which covers every float
 The suite is dual-mode: with numpy installed the fast side runs through
 ``kernel_sched``; without numpy it honestly degrades to the scalar loop
 (``"numpy unavailable"``) and every parity assertion still holds.  CI runs
-it both ways (the ``scheduled-kernel-parity`` job).
+it both ways: with numpy in the tier-1 legs, without it in the
+``no-numpy`` job.
 """
 
 from __future__ import annotations

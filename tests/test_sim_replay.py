@@ -1,4 +1,4 @@
-"""Tests for the batched trace-replay engine (repro.sim)."""
+"""Tests for the trace-replay engine (repro.sim)."""
 
 from __future__ import annotations
 
@@ -8,9 +8,11 @@ import random
 import pytest
 
 from repro.analysis.stats import percentile, percentiles, summarize
-from repro.disksim import DiskDrive, DiskGeometry, DiskRequest, RequestError
+from repro.api import DriveConfig, ScenarioConfig, WorkloadConfig, run_scenario
+from repro.disksim import BatchResult, DiskDrive, DiskGeometry, DiskRequest, RequestError
 from repro.disksim.errors import ConfigError
 from repro.sim import LbnRangeShard, Trace, TraceReplayEngine, TraceRecordingDrive
+from repro.sim.stream import _StreamAggregator
 from repro.workloads import Postmark, PostmarkConfig, filebench_to_trace, synthetic_to_trace
 from repro.workloads.synthetic import RandomWorkloadSpec
 
@@ -80,100 +82,87 @@ def test_recording_drive_captures_requests(small_drive):
 
 
 # --------------------------------------------------------------------------- #
-# Batched drive interface: exactness against the scalar path
+# Open replay against the per-request oracle
 # --------------------------------------------------------------------------- #
-def test_batch_matches_sequential_reads_exactly(medium_specs):
-    """A batched replay must produce bitwise-identical timing to calling
-    DiskDrive.read once per request."""
-    geometry = DiskGeometry(medium_specs)
-    scalar = DiskDrive(medium_specs, geometry=geometry)
-    batched = DiskDrive(medium_specs, geometry=geometry)
-    trace = make_random_trace(geometry, 600, seed=7, write_fraction=0.0, max_sectors=400)
+def submit_loop(fleet: LbnRangeShard, trace: Trace):
+    """Open replay by hand: every routed piece served by ``DiskDrive.submit``
+    in arrival order, folded by the replay aggregator."""
+    fleet.reset()
+    agg = _StreamAggregator(fleet, "open")
+    agg.trace_requests = len(trace)
+    results = [BatchResult() for _ in fleet.drives]
+    for t, lbn, count, op in trace:
+        for shard, local_lbn, piece in fleet.route(lbn, count):
+            done = fleet.drives[shard].submit(DiskRequest(op, local_lbn, piece), t)
+            results[shard].append_completed(done)
+    for shard, result in enumerate(results):
+        agg.add_scalar(shard, result)
+    return agg.finalize()
 
-    sequential = [
-        scalar.read(lbn, count, t)
-        for t, lbn, count in zip(trace.issue_ms, trace.lbns, trace.counts)
-    ]
-    result = batched.submit_batch(trace.ops, trace.lbns, trace.counts, trace.issue_ms)
 
-    assert len(result) == len(sequential)
-    for i, done in enumerate(sequential):
-        assert result.completions[i] == done.completion
-        assert result.media_ends[i] == done.media_end
-        assert result.seek_ms[i] == done.seek_ms
-        assert result.latency_ms[i] == done.rotational_latency_ms
-        assert result.transfer_ms[i] == done.media_transfer_ms
-        assert result.bus_ms[i] == done.bus_ms
-        assert result.overlap_ms[i] == done.bus_overlap_ms
-        assert result.cache_hits[i] == done.cache_hit
-        assert result.streamed[i] == done.streamed
-    assert scalar.stats == batched.stats
-    assert (scalar.head_cylinder, scalar.head_surface) == (
-        batched.head_cylinder,
-        batched.head_surface,
+@pytest.mark.parametrize("fast", [None, False])
+@pytest.mark.parametrize("n_drives", [1, 3])
+def test_out_of_order_bus_replays_like_submit(small_specs, n_drives, fast):
+    """The kernel refuses an out-of-order bus; whatever serves the replay
+    instead must model that bus exactly as ``DiskDrive.submit`` does."""
+
+    def fleet() -> LbnRangeShard:
+        return LbnRangeShard(
+            [DiskDrive(small_specs, in_order_bus=False) for _ in range(n_drives)]
+        )
+
+    trace = make_random_trace(
+        DiskGeometry(small_specs), 400, seed=41, interarrival_ms=2.0,
+        lbn_span=(0, fleet().total_lbns),
     )
-    assert (scalar.actuator_free, scalar.bus_free) == (
-        batched.actuator_free,
-        batched.bus_free,
-    )
+    expected = submit_loop(fleet(), trace).to_dict()
+    engine = TraceReplayEngine(fleet(), fast=fast)
+    assert engine.replay(trace).to_dict() == expected
+    assert engine.replay_stream(trace.iter_chunks(53)).to_dict() == expected
 
 
-def test_batch_matches_sequential_mixed_ops(medium_specs):
-    geometry = DiskGeometry(medium_specs)
-    scalar = DiskDrive(medium_specs, geometry=geometry)
-    batched = DiskDrive(medium_specs, geometry=geometry)
-    trace = make_random_trace(geometry, 500, seed=11, write_fraction=0.4)
-    sequential = [
-        scalar.submit(DiskRequest(op, lbn, count), t)
-        for t, lbn, count, op in zip(trace.issue_ms, trace.lbns, trace.counts, trace.ops)
-    ]
-    result = batched.submit_batch(trace.ops, trace.lbns, trace.counts, trace.issue_ms)
-    assert [c - i for c, i in zip(result.completions, result.issue_times)] == [
-        d.response_time for d in sequential
-    ]
-    assert scalar.stats == batched.stats
+def test_out_of_order_bus_changes_an_open_scenario():
+    """Whole-track reads that land mid-track arrive out of LBN order: an
+    out-of-order bus starts sending them sooner than an in-order one."""
+
+    def replay(in_order_bus: bool) -> dict:
+        config = ScenarioConfig(
+            name="bus",
+            drive=DriveConfig(
+                cylinders_per_zone=12,
+                num_zones=3,
+                enable_caching=False,
+                in_order_bus=in_order_bus,
+            ),
+            workload=WorkloadConfig(
+                name="synthetic", params={"n_requests": 200}, interarrival_ms=2.0
+            ),
+            seed=5,
+        )
+        return run_scenario(config).replay.to_dict()
+
+    assert replay(in_order_bus=False) != replay(in_order_bus=True)
 
 
-def test_batch_exact_on_defective_geometry(small_specs):
-    """Defective geometry disables the fast path; results must still be
-    identical through the fallback."""
-    geometry = DiskGeometry.with_random_defects(small_specs, defect_count=10, seed=3)
-    scalar = DiskDrive(small_specs, geometry=geometry)
-    batched = DiskDrive(small_specs, geometry=geometry)
-    trace = make_random_trace(geometry, 300, seed=5, write_fraction=0.3, max_sectors=32)
-    sequential = [
-        scalar.submit(DiskRequest(op, lbn, count), t)
-        for t, lbn, count, op in zip(trace.issue_ms, trace.lbns, trace.counts, trace.ops)
-    ]
-    result = batched.submit_batch(trace.ops, trace.lbns, trace.counts, trace.issue_ms)
-    assert result.completions == [d.completion for d in sequential]
-    assert scalar.stats == batched.stats
-
-
-def test_batch_sequential_stream_hits_cache(medium_drive):
-    """A sequential batched stream exercises full hits and streamed reads
-    identically to the scalar path."""
-    n = 400
-    lbns = [i * 16 for i in range(n)]
-    counts = [16] * n
-    times = [i * 0.5 for i in range(n)]
-    result = medium_drive.read_batch(lbns, counts, times)
-    # Sequential streaming must be far faster than random access and should
-    # use the firmware prefetch machinery.
-    assert medium_drive.stats.requests == n
-    assert medium_drive.stats.cache_hits + medium_drive.stats.streamed > 0
-    clone = medium_drive.clone_fresh()
-    sequential = [clone.read(lbn, c, t) for lbn, c, t in zip(lbns, counts, times)]
-    assert result.completions == [d.completion for d in sequential]
-
-
-def test_batch_validation_errors(small_drive):
+@pytest.mark.parametrize("fast", [None, False])
+@pytest.mark.parametrize("n_drives", [1, 3])
+@pytest.mark.parametrize(
+    "lbn,count,op",
+    [
+        pytest.param(64, 8, "erase", id="unknown-opcode"),
+        pytest.param(64, 0, "read", id="non-positive-count"),
+        pytest.param(-1, 8, "read", id="negative-lbn"),
+        pytest.param(None, 8, "read", id="past-capacity"),
+    ],
+)
+def test_replay_rejects_invalid_requests(small_specs, n_drives, fast, lbn, count, op):
+    fleet = LbnRangeShard([DiskDrive(small_specs) for _ in range(n_drives)])
+    if lbn is None:
+        lbn = fleet.total_lbns - count + 1
+    # The constructor takes the columns as given; Trace.append would refuse.
+    trace = Trace([0.0, 1.0], [0, lbn], [8, count], ["read", op])
     with pytest.raises(RequestError):
-        small_drive.submit_batch(["read"], [0], [1, 2], [0.0])
-    with pytest.raises(RequestError):
-        small_drive.submit_batch(["erase"], [0], [1], [0.0])
-    with pytest.raises(RequestError):
-        small_drive.submit_batch(["read"], [0], [small_drive.geometry.total_lbns + 1], [0.0])
+        TraceReplayEngine(fleet, fast=fast).replay(trace)
 
 
 # --------------------------------------------------------------------------- #
@@ -192,15 +181,6 @@ def test_translate_batch_matches_scalar(clean_geometry, defective_geometry):
                 addr.surface,
                 addr.sector,
             )
-
-
-def test_track_meta_matches_primitives(clean_geometry):
-    for track in range(0, clean_geometry.num_tracks, 7):
-        first, count, cylinder, surface, spt, skew = clean_geometry.track_meta(track)
-        assert (first, count) == clean_geometry.track_bounds(track)
-        assert (cylinder, surface) == clean_geometry.track_to_cyl_surface(track)
-        assert spt == clean_geometry.zone_of_cylinder(cylinder).sectors_per_track
-        assert skew == clean_geometry.skew_offset(track)
 
 
 # --------------------------------------------------------------------------- #
@@ -225,7 +205,7 @@ def test_single_drive_replay_matches_sequential(medium_specs):
         naive.submit(DiskRequest(op, lbn, count), t)
         for t, lbn, count, op in zip(trace.issue_ms, trace.lbns, trace.counts, trace.ops)
     ]
-    engine = TraceReplayEngine(DiskDrive(medium_specs, geometry=geometry), batch_size=128)
+    engine = TraceReplayEngine(DiskDrive(medium_specs, geometry=geometry))
     stats = engine.replay(trace)
     assert stats.issued_requests == len(trace)
     assert stats.split_requests == 0

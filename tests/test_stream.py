@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from _numpy_gate import needs_numpy
+from _numpy_gate import HAVE_NUMPY, needs_numpy
 from repro.api import (
     ResultStore,
     Scenario,
@@ -45,6 +45,7 @@ from repro.sim import (
 )
 from repro.sim.kernel import replay_kernel_sched
 from repro.sim.stream import (
+    SCHED_STREAM_REASON,
     _StreamAggregator,
     _stream_open_scheduled,
     run_service,
@@ -246,6 +247,87 @@ def test_stream_parity_kernel_path(mode, n_drives):
     assert streamed.to_dict() == reference.to_dict()
 
 
+def straddling_trace(fleet: LbnRangeShard, seed: int) -> Trace:
+    """:func:`build_trace` with seven rows moved onto drive boundaries and,
+    on three drives, one row spanning all three: a split request that
+    makes two extra pieces."""
+    trace = build_trace(fleet, 200, seed=seed)
+    rows = random.Random(seed).sample(range(len(trace)), 8)
+    n_boundaries = len(fleet.drives) - 1
+    for k, row in enumerate(rows[:7]):
+        boundary = fleet.shard_range(1 + k % n_boundaries)[0]
+        trace.lbns[row] = boundary - 1 - k
+        trace.counts[row] = 2 + 3 * k
+    if len(fleet.drives) == 3:
+        start, end = fleet.shard_range(1)
+        trace.lbns[rows[7]] = start - 8
+        trace.counts[rows[7]] = end - start + 16
+    return trace
+
+
+@pytest.mark.parametrize("n_drives", [2, 3])
+@pytest.mark.parametrize(
+    "mode,policy,depth,one_shot_path,chunked_path",
+    [
+        pytest.param(
+            "open", "fcfs", 1, ("kernel", "ok"), ("kernel", "ok"), id="open-fcfs"
+        ),
+        pytest.param(
+            "closed", "fcfs", 1, ("kernel_sched", "ok"), ("kernel_sched", "ok"),
+            id="closed-fcfs-1",
+        ),
+        # A chunked scheduled replay runs the scalar queue loops.
+        pytest.param(
+            "open", "sptf", 4, ("kernel_sched", "ok"),
+            ("scalar", SCHED_STREAM_REASON), id="open-sptf-4",
+        ),
+        pytest.param(
+            "closed", "sptf", 4, ("kernel_sched", "ok"),
+            ("scalar", SCHED_STREAM_REASON), id="closed-sptf-4",
+        ),
+    ],
+)
+def test_kernel_splits_boundary_crossing_requests(
+    n_drives, mode, policy, depth, one_shot_path, chunked_path
+):
+    """The kernel serves a request that crosses drive boundaries as one
+    piece per drive, in trace order, and counts the split the way
+    ``LbnRangeShard.route`` does: bitwise equal to ``fast=False``."""
+    trace = straddling_trace(build_fleet(n_drives), seed=23)
+    spanning = 1 if n_drives == 3 else 0
+
+    def replay(fast, chunk_requests=None):
+        fleet = build_fleet(n_drives, caching=False)
+        engine = TraceReplayEngine(
+            fleet, fast=fast, scheduler=policy, queue_depth=depth
+        )
+        chunks = trace if chunk_requests is None else trace.iter_chunks(chunk_requests)
+        if mode == "open":
+            run = engine.replay if chunk_requests is None else engine.replay_stream
+            stats = run(chunks)
+        else:
+            run = (
+                engine.replay_closed
+                if chunk_requests is None
+                else engine.replay_closed_stream
+            )
+            stats = run(chunks, think_ms=0.1)
+        path = (engine.last_replay_path, engine.last_fast_reason)
+        return stats.to_dict(), fleet.split_requests, fleet.routed_requests, path
+
+    oracle = replay(False)
+    stats, split, routed, _path = oracle
+    assert split == 7 + spanning
+    # Every split row adds one piece; the spanning row adds a second.
+    assert routed == len(trace) + split + spanning
+    assert stats["split_requests"] == split
+    for chunk_requests, path in ((None, one_shot_path), (37, chunked_path)):
+        got = replay(None, chunk_requests)
+        assert got[:3] == oracle[:3]
+        if HAVE_NUMPY:
+            assert got[3] == path
+
+
 class _QueuedFCFS(FCFSScheduler):
     """FCFS with a (no-op) removal hook, which the kernel serves from its
     pending queue through its mirror of ``Scheduler.pop``."""
@@ -281,8 +363,8 @@ def test_fcfs_starvation_bound_keeps_arrival_order(n_drives):
     every dispatch of the paths that apply it -- the scalar queue loop
     (``Scheduler.pop``) and the kernel's pending-queue mirror of it -- and
     both must match the kernel's arrival-order dispatch, one-shot and
-    chunked, and the scalar ``submit_batch`` path, bitwise and with no
-    forced dispatches."""
+    chunked, and the scalar ``submit`` oracle, bitwise and with no forced
+    dispatches."""
     bound = 5.0
     trace = overloaded_trace(n_drives)
     engine = TraceReplayEngine(
@@ -298,11 +380,11 @@ def test_fcfs_starvation_bound_keeps_arrival_order(n_drives):
     for stats in (queue_loop, queue_kernel):
         assert stats.extras.pop("forced_dispatches") == 0.0
     assert queue_kernel.to_dict() == queue_loop.to_dict()
-    submit_batch = TraceReplayEngine(
+    oracle = TraceReplayEngine(
         build_fleet(n_drives, caching=False), fast=False,
         scheduler="fcfs", starvation_ms=bound,
     ).replay(trace)
-    assert submit_batch.to_dict() == queue_loop.to_dict()
+    assert oracle.to_dict() == queue_loop.to_dict()
     for stats in (engine.replay(trace), engine.replay_stream(trace.iter_chunks(41))):
         assert (engine.last_replay_path, engine.last_fast_reason) == ("kernel", "ok")
         assert stats.extras == {}
@@ -312,8 +394,8 @@ def test_fcfs_starvation_bound_keeps_arrival_order(n_drives):
 @needs_numpy
 def test_open_fcfs_subclass_keeps_arrival_order():
     """An open replay under a scheduler named ``fcfs`` serves arrival order
-    on every chunk path, as ``submit_batch`` does: the kernel chunks ignore
-    the subclass's hooks too."""
+    on every chunk path, as the scalar oracle does: the kernel chunks
+    ignore the subclass's hooks too."""
     trace = overloaded_trace(3)
     scalar = TraceReplayEngine(
         build_fleet(3, caching=False), fast=False, scheduler=_NewestFirstFCFS()
@@ -422,7 +504,7 @@ def test_stream_empty_rejected(small_drive):
 
 
 def test_stream_parity_no_numpy(monkeypatch):
-    """Scalar-only hosts stream through the exact batched path."""
+    """Scalar-only hosts stream through the exact scalar oracle."""
     import repro.sim.stream as stream_mod
 
     monkeypatch.setattr(stream_mod, "_numpy", lambda: None)
