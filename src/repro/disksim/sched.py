@@ -1,10 +1,9 @@
 """Pluggable request schedulers: the drive's dispatch-time queue policies.
 
-Every queue in the reproduction was implicitly FCFS until now; this module
-makes the dispatch decision itself a first-class, swappable policy so the
-natural follow-on question of the disksim/freeblock lineage -- how much of
-the traxtent advantage survives under position-aware scheduling? -- becomes
-one more campaign axis.
+This module makes the drive's dispatch decision a first-class, swappable
+policy, so the natural follow-on question of the disksim/freeblock lineage
+-- how much of the traxtent advantage survives under position-aware
+scheduling? -- becomes one more campaign axis.
 
 A :class:`Scheduler` owns a pending queue of :class:`QueuedRequest` entries.
 The replay engine (or any other driver) ``push``-es requests as they arrive
@@ -48,17 +47,14 @@ Schedulers are registered by name (:func:`available_schedulers`,
 axes and the CLI can select them declaratively.
 
 Every registered policy also implements the **kernel vectorization
-contract** used by the event-batched replay kernel
-(:func:`repro.sim.kernel.replay_kernel_sched`): ``kernel_select`` scores
-the whole pending queue against precomputed geometry columns (a
-:class:`KernelQueueView`) and returns the position the scalar ``_select``
-would have picked, bitwise-identically -- the kernel never re-implements
-policy semantics, it asks the policy to pick from columns.  Policies score
-small queues with plain Python scalars and switch to numpy array math
-above :data:`KERNEL_SMALL_QUEUE` pending requests; both variants perform
-the exact float operations of ``_select`` in the same order, so the choice
-of variant never changes a replay result.  Subclasses that override the
-scalar hooks without providing matching kernel hooks are detected by
+contract** used by the replay kernel (:func:`repro.sim.kernel._service_shard`):
+``kernel_select`` scores the pending queue in one plain-Python loop over
+per-request columns the kernel precomputed (a :class:`KernelQueueView`)
+and returns the position the scalar ``_select`` would have picked,
+performing the exact float operations of ``_select`` in the same order --
+the kernel never re-implements policy semantics, it asks the policy to
+pick from columns.  Subclasses that override the scalar hooks without
+providing matching kernel hooks are detected by
 :func:`kernel_fallback_reason` and replayed through the exact scalar
 queue loop instead.
 
@@ -88,34 +84,21 @@ class SchedulerError(DiskSimError):
     """Unknown scheduling policy or malformed scheduler configuration."""
 
 
-#: Pending-queue size at which the kernel hooks switch from plain Python
-#: scalar scoring to numpy array math.  Below this, interpreter-level scans
-#: beat numpy's fixed per-call overhead; above it, vectorization wins.
-#: Both variants compute the exact same floats in the exact same order, so
-#: the threshold is a pure performance knob -- it can never change results.
-KERNEL_SMALL_QUEUE = 48
-
-
 class KernelQueueView:
     """Columnar snapshot of a drive's pending queue for the replay kernel.
 
     Built once per shard-local replay by the kernel
     (:func:`repro.sim.kernel._service_shard`) whenever it dispatches from
-    a pending queue; each column holds one value per *trace request*
-    (indexed by request index, not queue position) as both a numpy array
-    and a plain Python list twin, so policy hooks can score small queues
-    without touching numpy at all.  :attr:`pending` is the live queue:
-    request indices in admission order (ascending, matching the scalar
-    scheduler's arrival ``seq``), mutated in place by the kernel's
-    dispatch loop.  The head position and actuator availability are
-    refreshed by the kernel before every dispatch decision.
-
-    In closed mode the issue-time *list* twins (``issue_l`` /
-    ``issue_cmd_l``) are refreshed on every admission, but their numpy
-    twins only when ``depth`` exceeds :data:`KERNEL_SMALL_QUEUE` -- below
-    that threshold the queue can never grow large enough for any built-in
-    hook (or :func:`kernel_oldest`) to take its numpy branch, so hooks
-    must treat the list twins as authoritative for small queues.
+    a pending queue.  Each column is a plain Python list with one value
+    per *trace request* (indexed by request index, not queue position):
+    ``issue_l``/``issue_cmd_l`` (issue time, and issue time plus command
+    overhead; in closed mode written at each admission), ``lbn_l``,
+    ``track_l``, ``cylinder_l``, and ``seek_lut_l`` (seek time by cylinder
+    distance).  :attr:`pending` is the live queue: request indices in
+    admission order (ascending, matching the scalar scheduler's arrival
+    ``seq``), mutated in place by the kernel's dispatch loop.  The head
+    position and actuator availability are refreshed by the kernel before
+    every dispatch decision.
 
     ``pos_l`` packs the per-request positioning constants
     ``(cylinder, surface, settle, spt, sector_ms, skew, start_slot,
@@ -124,36 +107,16 @@ class KernelQueueView:
     """
 
     __slots__ = (
-        "np", "pending", "head_cylinder", "head_surface", "actuator_free",
-        "rotation_ms", "head_switch_ms", "zero_latency", "lbn_key_scale",
-        "issue", "issue_cmd", "lbn", "track", "cylinder", "surface",
-        "start_slot", "spt", "sector_ms", "skew", "settle", "span",
-        "seek_lut",
+        "pending", "head_cylinder", "head_surface", "actuator_free",
+        "rotation_ms", "head_switch_ms", "zero_latency",
         "issue_l", "issue_cmd_l", "lbn_l", "track_l", "cylinder_l",
-        "surface_l", "start_slot_l", "spt_l", "sector_ms_l", "skew_l",
-        "settle_l", "span_l", "seek_lut_l", "pos_l",
-        "_arr",
+        "seek_lut_l", "pos_l",
     )
 
     def __init__(self, **fields) -> None:
         for name in self.__slots__:
             setattr(self, name, fields.get(name))
         self.pending = []
-        self._arr = None
-
-    def invalidate(self) -> None:
-        """Drop the cached pending array (call when ``pending`` changed)."""
-        self._arr = None
-
-    def pending_array(self):
-        """The pending queue as an int64 index array (cached per decision)."""
-        arr = self._arr
-        if arr is None:
-            np = self.np
-            arr = np.fromiter(self.pending, dtype=np.int64,
-                              count=len(self.pending))
-            self._arr = arr
-        return arr
 
 
 def kernel_oldest(view: KernelQueueView) -> int:
@@ -164,19 +127,15 @@ def kernel_oldest(view: KernelQueueView) -> int:
     ``(issue_time, seq)`` tie-break exactly.
     """
     pending = view.pending
-    if len(pending) <= KERNEL_SMALL_QUEUE:
-        issue = view.issue_l
-        best = 0
-        best_t = issue[pending[0]]
-        for pos in range(1, len(pending)):
-            t = issue[pending[pos]]
-            if t < best_t:
-                best_t = t
-                best = pos
-        return best
-    np = view.np
-    arr = view.pending_array()
-    return int(np.argmin(view.issue[arr]))
+    issue = view.issue_l
+    best = 0
+    best_t = issue[pending[0]]
+    for pos in range(1, len(pending)):
+        t = issue[pending[pos]]
+        if t < best_t:
+            best_t = t
+            best = pos
+    return best
 
 
 def _defining_class(cls: type, name: str) -> "type | None":
@@ -409,22 +368,18 @@ class SSTFScheduler(Scheduler):
     def kernel_select(self, view: KernelQueueView) -> int:
         pending = view.pending
         head = view.head_cylinder
-        if len(pending) <= KERNEL_SMALL_QUEUE:
-            cyl = view.cylinder_l
-            best = 0
-            d = cyl[pending[0]] - head
-            best_d = -d if d < 0 else d
-            for pos in range(1, len(pending)):
-                d = cyl[pending[pos]] - head
-                if d < 0:
-                    d = -d
-                if d < best_d:
-                    best_d = d
-                    best = pos
-            return best
-        np = view.np
-        arr = view.pending_array()
-        return int(np.argmin(np.abs(view.cylinder[arr] - head)))
+        cyl = view.cylinder_l
+        best = 0
+        d = cyl[pending[0]] - head
+        best_d = -d if d < 0 else d
+        for pos in range(1, len(pending)):
+            d = cyl[pending[pos]] - head
+            if d < 0:
+                d = -d
+            if d < best_d:
+                best_d = d
+                best = pos
+        return best
 
 
 class SPTFScheduler(Scheduler):
@@ -480,117 +435,59 @@ class SPTFScheduler(Scheduler):
         return best
 
     def kernel_select(self, view: KernelQueueView) -> int:
-        pending = view.pending
+        # Scored in admission (= seq) order with strict less-than, so the
+        # first occurrence of the minimum key wins -- the scalar (key, seq)
+        # tie-break exactly.  Two exact shortcuts keep the loop skinny:
+        # every key is bounded below by its seek term, so a candidate whose
+        # seek alone exceeds the best key so far can be skipped before the
+        # rotation-phase math (it cannot win or even tie); and the
+        # settle/switch terms are skipped when both are 0.0 (adding +0.0 to
+        # a positive float is the identity, so the sums are bitwise
+        # unchanged).  Likewise an access-on-arrival key is ``base`` itself,
+        # which ``base + 0.0`` equals.  Float operations and their order
+        # otherwise match _select exactly.
         head_cyl = view.head_cylinder
         head_surf = view.head_surface
         act_free = view.actuator_free
         rotation = view.rotation_ms
         hs_ms = view.head_switch_ms
         zero_latency = view.zero_latency
-        if len(pending) <= KERNEL_SMALL_QUEUE:
-            # Scored in admission (= seq) order with strict less-than, so
-            # the first occurrence of the minimum key wins -- the scalar
-            # (key, seq) tie-break exactly.  Two exact shortcuts keep the
-            # loop skinny: every key is bounded below by its seek term, so
-            # a candidate whose seek alone exceeds the best key so far can
-            # be skipped before the rotation-phase math (it cannot win or
-            # even tie); and the settle/switch terms are skipped when both
-            # are 0.0 (adding +0.0 to a positive float is the identity, so
-            # the sums are bitwise unchanged).  Float operations and their
-            # order otherwise match _select exactly.
-            lut = view.seek_lut_l
-            cyl = view.cylinder_l
-            issue_cmd = view.issue_cmd_l
-            cols = view.pos_l
-            best = 0
-            best_key = math.inf
-            if zero_latency:
-                for pos, idx in enumerate(pending):
-                    distance = cyl[idx] - head_cyl
-                    if distance < 0:
-                        distance = -distance
-                    seek = lut[distance]
-                    if seek > best_key:
-                        continue
-                    c, sf, settle, spt, sector_ms, skew, start_slot, span = (
-                        cols[idx]
-                    )
-                    start = issue_cmd[idx]
-                    if act_free > start:
-                        start = act_free
-                    if settle == 0.0 and (distance != 0 or sf == head_surf):
-                        arrival = start + seek
-                        base = seek
-                    else:
-                        switch = 0.0
-                        if distance == 0 and sf != head_surf:
-                            switch = hs_ms
-                        arrival = start + seek + settle + switch
-                        base = seek + settle + switch
-                    head_slot = (
-                        ((arrival % rotation) / rotation) * spt - skew
-                    ) % spt
-                    rel = (head_slot - start_slot) % spt
-                    if rel < span:
-                        key = base
-                    else:
-                        key = base + (spt - rel) * sector_ms
-                    if key < best_key:
-                        best_key = key
-                        best = pos
-                return best
-            for pos, idx in enumerate(pending):
-                distance = cyl[idx] - head_cyl
-                if distance < 0:
-                    distance = -distance
-                seek = lut[distance]
-                if seek > best_key:
-                    continue
-                c, sf, settle, spt, sector_ms, skew, start_slot, span = (
-                    cols[idx]
-                )
-                start = issue_cmd[idx]
-                if act_free > start:
-                    start = act_free
-                if settle == 0.0 and (distance != 0 or sf == head_surf):
-                    arrival = start + seek
-                    base = seek
-                else:
-                    switch = 0.0
-                    if distance == 0 and sf != head_surf:
-                        switch = hs_ms
-                    arrival = start + seek + settle + switch
-                    base = seek + settle + switch
-                head_slot = (
-                    ((arrival % rotation) / rotation) * spt - skew
-                ) % spt
-                rel = (head_slot - start_slot) % spt
+        lut = view.seek_lut_l
+        cyl = view.cylinder_l
+        issue_cmd = view.issue_cmd_l
+        cols = view.pos_l
+        best = 0
+        best_key = math.inf
+        for pos, idx in enumerate(view.pending):
+            distance = cyl[idx] - head_cyl
+            if distance < 0:
+                distance = -distance
+            seek = lut[distance]
+            if seek > best_key:
+                continue
+            c, sf, settle, spt, sector_ms, skew, start_slot, span = cols[idx]
+            start = issue_cmd[idx]
+            if act_free > start:
+                start = act_free
+            if settle == 0.0 and (distance != 0 or sf == head_surf):
+                arrival = start + seek
+                base = seek
+            else:
+                switch = 0.0
+                if distance == 0 and sf != head_surf:
+                    switch = hs_ms
+                arrival = start + seek + settle + switch
+                base = seek + settle + switch
+            head_slot = (((arrival % rotation) / rotation) * spt - skew) % spt
+            rel = (head_slot - start_slot) % spt
+            if zero_latency and rel < span:
+                key = base
+            else:
                 key = base + (spt - rel) * sector_ms
-                if key < best_key:
-                    best_key = key
-                    best = pos
-            return best
-        np = view.np
-        arr = view.pending_array()
-        distance = np.abs(view.cylinder[arr] - head_cyl)
-        seek = view.seek_lut[distance]
-        switch = np.where(
-            (distance == 0) & (view.surface[arr] != head_surf), hs_ms, 0.0
-        )
-        settle = view.settle[arr]
-        start = np.maximum(view.issue_cmd[arr], act_free)
-        arrival = start + seek + settle + switch
-        spt = view.spt[arr]
-        head_angle = ((arrival % rotation) / rotation) * spt
-        head_slot = (head_angle - view.skew[arr]) % spt
-        rel = (head_slot - view.start_slot[arr]) % spt
-        if zero_latency:
-            latency = np.where(
-                rel < view.span[arr], 0.0, (spt - rel) * view.sector_ms[arr]
-            )
-        else:
-            latency = (spt - rel) * view.sector_ms[arr]
-        return int(np.argmin(seek + settle + switch + latency))
+            if key < best_key:
+                best_key = key
+                best = pos
+        return best
 
 
 class CLOOKScheduler(Scheduler):
@@ -614,44 +511,27 @@ class CLOOKScheduler(Scheduler):
     def kernel_select(self, view: KernelQueueView) -> int:
         pending = view.pending
         head = view.head_cylinder
-        if len(pending) <= KERNEL_SMALL_QUEUE:
-            cyl = view.cylinder_l
-            lbn = view.lbn_l
-            best = -1
-            best_c = best_l = 0
-            for pos, idx in enumerate(pending):
-                c = cyl[idx]
-                if c >= head:
-                    lb = lbn[idx]
-                    if best < 0 or c < best_c or (c == best_c and lb < best_l):
-                        best, best_c, best_l = pos, c, lb
-            if best >= 0:
-                return best
-            idx = pending[0]
-            best, best_c, best_l = 0, cyl[idx], lbn[idx]
-            for pos in range(1, len(pending)):
-                idx = pending[pos]
-                c = cyl[idx]
+        cyl = view.cylinder_l
+        lbn = view.lbn_l
+        best = -1
+        best_c = best_l = 0
+        for pos, idx in enumerate(pending):
+            c = cyl[idx]
+            if c >= head:
                 lb = lbn[idx]
-                if c < best_c or (c == best_c and lb < best_l):
+                if best < 0 or c < best_c or (c == best_c and lb < best_l):
                     best, best_c, best_l = pos, c, lb
+        if best >= 0:
             return best
-        np = view.np
-        arr = view.pending_array()
-        cyl = view.cylinder[arr]
-        lbn = view.lbn[arr]
-        ahead = cyl >= head
-        if bool(ahead.any()):
-            pool = np.nonzero(ahead)[0]
-            cyl = cyl[pool]
-            lbn = lbn[pool]
-        else:
-            pool = None
-        # Exact (cylinder, lbn) lexicographic min: shard-local LBNs are
-        # strictly below lbn_key_scale, so the packed int64 key cannot
-        # collide, and argmin's first-occurrence rule is the seq tie-break.
-        pos = int(np.argmin(cyl * view.lbn_key_scale + lbn))
-        return pos if pool is None else int(pool[pos])
+        idx = pending[0]
+        best, best_c, best_l = 0, cyl[idx], lbn[idx]
+        for pos in range(1, len(pending)):
+            idx = pending[pos]
+            c = cyl[idx]
+            lb = lbn[idx]
+            if c < best_c or (c == best_c and lb < best_l):
+                best, best_c, best_l = pos, c, lb
+        return best
 
 
 class TraxtentBatchScheduler(Scheduler):
@@ -699,18 +579,11 @@ class TraxtentBatchScheduler(Scheduler):
         if not batch:
             pending = view.pending
             anchor = pending[kernel_oldest(view)]
-            anchor_track = view.track_l[anchor]
-            if len(pending) <= KERNEL_SMALL_QUEUE:
-                track = view.track_l
-                mates = [idx for idx in pending if track[idx] == anchor_track]
-                # Stable sort over admission order == (lbn, seq) order.
-                mates.sort(key=view.lbn_l.__getitem__)
-            else:
-                np = view.np
-                arr = view.pending_array()
-                in_extent = arr[view.track[arr] == anchor_track]
-                order = np.argsort(view.lbn[in_extent], kind="stable")
-                mates = in_extent[order].tolist()
+            track = view.track_l
+            anchor_track = track[anchor]
+            mates = [idx for idx in pending if track[idx] == anchor_track]
+            # Stable sort over admission order == (lbn, seq) order.
+            mates.sort(key=view.lbn_l.__getitem__)
             self._kbatch = batch = mates
         # pending holds ascending request indices, so position by bisection.
         return bisect_left(view.pending, batch[0])
@@ -776,7 +649,6 @@ def make_scheduler(
 __all__ = [
     "CLOOKScheduler",
     "FCFSScheduler",
-    "KERNEL_SMALL_QUEUE",
     "KernelQueueView",
     "QueuedRequest",
     "SCHEDULERS",

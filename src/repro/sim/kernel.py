@@ -379,12 +379,12 @@ def _service_shard(
 
     ``lbns``/``counts``/``issue``/``is_read`` are numpy columns in
     admission order.  Every per-request quantity that does not depend on
-    dispatch order is precomputed as a numpy column; the loop below keeps
-    only the irreducible serial recurrence -- actuator/bus availability,
-    head position, rotation phase and queue admission.  Float arithmetic
-    matches the scalar ``submit`` path operation for operation, so the
-    replay is bitwise identical to the scalar loops of
-    :mod:`repro.sim.stream`.
+    dispatch order is precomputed with numpy and handed to the loop as a
+    plain list; the loop below keeps only the irreducible serial
+    recurrence -- actuator/bus availability, head position, rotation phase
+    and queue admission.  Float arithmetic matches the scalar ``submit``
+    path operation for operation, so the replay is bitwise identical to the
+    scalar loops of :mod:`repro.sim.stream`.
 
     Dispatch order comes from the scheduler class.  Under FCFS in open
     mode (FCFS's ``kernel_select``, no ``kernel_removed`` override) every
@@ -396,7 +396,7 @@ def _service_shard(
     timestamps in ``mode="open"``; in ``mode="closed"`` keeping up to
     ``depth`` outstanding, the next admitted ``think_ms`` after each
     completion) and the scheduler's ``kernel_select`` hook scores the
-    whole queue against the columns (a
+    whole queue in one Python loop over those lists (a
     :class:`~repro.disksim.sched.KernelQueueView`); selection mirrors
     ``Scheduler.pop`` (starvation bound, forced-dispatch accounting, seq
     tie-breaking).
@@ -410,7 +410,6 @@ def _service_shard(
     the next chunk of a closed stream passes back as ``now_start``.
     """
     from ..disksim.sched import (
-        KERNEL_SMALL_QUEUE,
         FCFSScheduler,
         KernelQueueView,
         Scheduler,
@@ -481,17 +480,14 @@ def _service_shard(
         and krem is None
         and type(scheduler).kernel_select is FCFSScheduler.kernel_select
     )
+    # ---- python-scalar views for the serial loop ----------------------- #
     if open_mode:
-        issue_col = issue
-        issue_cmd_col = issue + cmd_ms
+        issue_l = issue.tolist()
+        issue_cmd_l = (issue + cmd_ms).tolist()
     else:
         # Closed mode: admission times are decided by the loop below.
-        issue_col = np.zeros(n, dtype=np.float64)
-        issue_cmd_col = np.zeros(n, dtype=np.float64)
-
-    # ---- python-scalar views for the serial loop ----------------------- #
-    issue_l = issue_col.tolist()
-    issue_cmd_l = issue_cmd_col.tolist()
+        issue_l = [0.0] * n
+        issue_cmd_l = [0.0] * n
     count_l = counts.tolist()
     lbn_l = lbns.tolist()
     is_read_l = is_read.tolist()
@@ -525,44 +521,20 @@ def _service_shard(
     else:
         cyl_l = cyl.tolist()
         surf_l = surf.tolist()
-        span_col = np.minimum(counts, spt_col)
-        span_l = span_col.tolist()
         view = KernelQueueView(
-            np=np,
             rotation_ms=rotation,
             head_switch_ms=head_switch_cost,
             zero_latency=zero_latency,
-            lbn_key_scale=geometry.total_lbns,
-            issue=issue_col,
-            issue_cmd=issue_cmd_col,
-            lbn=lbns,
-            track=track,
-            cylinder=cyl,
-            surface=surf,
-            start_slot=start_slot_col,
-            spt=spt_col,
-            sector_ms=sector_ms_col,
-            skew=skew_col,
-            settle=settle_col,
-            span=span_col,
-            seek_lut=seek_lut,
             issue_l=issue_l,
             issue_cmd_l=issue_cmd_l,
             lbn_l=lbn_l,
             track_l=track.tolist(),
             cylinder_l=cyl_l,
-            surface_l=surf_l,
-            start_slot_l=start_slot_l,
-            spt_l=spt_l,
-            sector_ms_l=sector_ms_l,
-            skew_l=skew_l,
-            settle_l=settle_l,
-            span_l=span_l,
             seek_lut_l=seek_lut_l,
             pos_l=list(
                 zip(
                     cyl_l, surf_l, settle_l, spt_l, sector_ms_l, skew_l,
-                    start_slot_l, span_l,
+                    start_slot_l, np.minimum(counts, spt_col).tolist(),
                 )
             ),
         )
@@ -614,21 +586,9 @@ def _service_shard(
     now = now_start
     i = 0
     if not open_mode:
-        issue_np = issue_col
-        issue_cmd_np = issue_cmd_col
-        # The built-in hooks and kernel_oldest read the numpy issue twins
-        # only once the queue outgrows KERNEL_SMALL_QUEUE, which a closed
-        # queue bounded by ``depth`` never does below that threshold -- the
-        # list twins are authoritative there, so the (comparatively costly)
-        # per-admission numpy scalar stores are skipped.
-        sync_np = depth > KERNEL_SMALL_QUEUE
         while i < n and len(pending) < depth:
-            issue_cmd_v = now + cmd_ms
             issue_l[i] = now
-            issue_cmd_l[i] = issue_cmd_v
-            if sync_np:
-                issue_np[i] = now
-                issue_cmd_np[i] = issue_cmd_v
+            issue_cmd_l[i] = now + cmd_ms
             pending.append(i)
             i += 1
 
@@ -663,7 +623,6 @@ def _service_shard(
             view.head_cylinder = head_cyl
             view.head_surface = head_surf
             view.actuator_free = act_free
-            view._arr = None
             if starvation is not None:
                 opos = kernel_oldest(view)
                 oidx = pending[opos]
@@ -879,12 +838,8 @@ def _service_shard(
         if not open_mode:
             now = completion + think_ms
             if i < n:
-                issue_cmd_v = now + cmd_ms
                 issue_l[i] = now
-                issue_cmd_l[i] = issue_cmd_v
-                if sync_np:
-                    issue_np[i] = now
-                    issue_cmd_np[i] = issue_cmd_v
+                issue_cmd_l[i] = now + cmd_ms
                 pending.append(i)
                 i += 1
 

@@ -60,6 +60,8 @@ class VideoServer:
             self._traxtents = TraxtentMap.from_geometry(
                 geometry, self._zone_start, self._zone_end
             )
+            # The zone's nominal (longest) track length.
+            self._nominal = max(e.length for e in self._traxtents)
         else:
             self._traxtents = None
 
@@ -70,11 +72,10 @@ class VideoServer:
         if self._traxtents is not None:
             extent = self._traxtents[self._rng.randrange(len(self._traxtents))]
             io_sectors = self.stream.io_size_sectors
-            nominal = max(e.length for e in self._traxtents)
             if io_sectors <= extent.length:
                 # Mid-size IO: stays within this track.
                 sectors = io_sectors
-            elif io_sectors <= nominal:
+            elif io_sectors <= self._nominal:
                 # "Track-sized" IO on a slightly short track: a traxtent
                 # server issues the whole (shorter) track rather than
                 # crossing into the next one.

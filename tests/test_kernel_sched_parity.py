@@ -1,16 +1,17 @@
 """Event-batched scheduled kernel vs the scalar queue loop: bitwise parity.
 
-The scheduled kernel (``repro.sim.kernel.replay_kernel_sched``) vectorizes
-candidate scoring between admission events but must remain an *exact*
+The scheduled kernel (``repro.sim.kernel.replay_kernel_sched``) scores
+candidates from precomputed per-request columns but must remain an *exact*
 re-implementation of the scalar queue loop: every test here replays the
 same trace twice -- ``fast=True`` (kernel) and ``fast=False`` (scalar) --
 and requires ``ReplayStats.to_dict()`` equality, which covers every float
 (seek/settle/switch/transfer sums, response percentiles) and the extras
 (forced dispatches).  Coverage axes:
 
-* policy x queue depth x track alignment (closed replay),
+* policy x firmware kind (zero latency or not) x queue depth x track
+  alignment (closed replay),
 * open replay with same-timestamp bursts,
-* bursts larger than ``KERNEL_SMALL_QUEUE`` (numpy scoring hooks),
+* closed queues 64 deep under every policy,
 * starvation-bound forced dispatches,
 * deterministic sequence tie-breaking on duplicate LBNs,
 * multi-drive fleets, FCFS depth-1 (classic onereq), every
@@ -32,23 +33,26 @@ import pytest
 
 from _numpy_gate import HAVE_NUMPY, needs_numpy
 from repro.disksim import DiskDrive, FirmwareCache, small_test_specs
-from repro.disksim.sched import KERNEL_SMALL_QUEUE, Scheduler
+from repro.disksim.sched import Scheduler
 from repro.sim import Trace, TraceReplayEngine
 
 POLICIES = ("fcfs", "sstf", "sptf", "clook", "traxtent")
 SMALL = dict(cylinders_per_zone=12, num_zones=3)
 
 
-def cacheless_drive() -> DiskDrive:
+def cacheless_drive(zero_latency: bool | None = None) -> DiskDrive:
     """A fresh small drive with the firmware cache off.
 
     Random traces reuse LBN windows, so with caching on the kernel would
     (correctly) refuse as firmware-cache-sensitive; caching off keeps every
     eligibility decision about the *scheduler*, which is what these tests
-    exercise.
+    exercise.  ``zero_latency`` overrides the firmware kind; ``None`` keeps
+    the Atlas 10K II's own zero-latency firmware.
     """
     return DiskDrive(
-        small_test_specs(**SMALL), cache=FirmwareCache(enable_caching=False)
+        small_test_specs(**SMALL),
+        cache=FirmwareCache(enable_caching=False),
+        zero_latency=zero_latency,
     )
 
 
@@ -89,6 +93,7 @@ def replay_both(
     trace: Trace,
     mode: str = "closed",
     drives: int = 1,
+    zero_latency: bool | None = None,
     **engine_kwargs,
 ) -> tuple[dict, dict, "TraceReplayEngine"]:
     """(kernel payload, scalar payload, kernel engine) for one scenario."""
@@ -96,9 +101,9 @@ def replay_both(
     engines = []
     for fast in (True, False):
         if drives == 1:
-            target = cacheless_drive()
+            target = cacheless_drive(zero_latency)
         else:
-            target = [cacheless_drive() for _ in range(drives)]
+            target = [cacheless_drive(zero_latency) for _ in range(drives)]
         engine = TraceReplayEngine(target, fast=fast, **engine_kwargs)
         if mode == "closed":
             stats = engine.replay_closed(trace, think_ms=0.0)
@@ -117,16 +122,27 @@ FAST_REASON = "ok" if HAVE_NUMPY else "numpy unavailable"
 
 
 # --------------------------------------------------------------------------- #
-# The core sweep: policy x depth x alignment
+# The core sweep: policy x firmware x depth x alignment
 # --------------------------------------------------------------------------- #
 
-@pytest.mark.parametrize("policy", POLICIES)
+# The zero-latency cases (the test drive's own firmware) keep the bare
+# policy id; the firmware that waits for the first sector adds a suffix.
+@pytest.mark.parametrize(
+    "policy, zero_latency",
+    [pytest.param(policy, True, id=policy) for policy in POLICIES]
+    + [
+        pytest.param(policy, False, id=f"{policy}-nonzero-latency")
+        for policy in POLICIES
+    ],
+)
 @pytest.mark.parametrize("depth", (1, 4, 8))
 @pytest.mark.parametrize("aligned", (False, True))
-def test_closed_parity_policy_depth_alignment(policy, depth, aligned):
+def test_closed_parity_policy_depth_alignment(
+    policy, zero_latency, depth, aligned
+):
     trace = random_trace(cacheless_drive(), aligned=aligned)
     kernel, scalar, engine = replay_both(
-        trace, scheduler=policy, queue_depth=depth
+        trace, scheduler=policy, queue_depth=depth, zero_latency=zero_latency
     )
     assert engine.last_replay_path == FAST_PATH, engine.last_fast_reason
     assert engine.last_fast_reason == FAST_REASON
@@ -150,11 +166,11 @@ def test_open_parity_with_bursts(policy):
     assert kernel == scalar
 
 
-@pytest.mark.parametrize("policy", ("sstf", "sptf", "traxtent"))
-def test_large_queue_uses_numpy_scoring_and_matches(policy):
-    # Deeper than KERNEL_SMALL_QUEUE so the vectorized numpy scoring hooks
-    # run (below the threshold the kernel scores via the list twins).
-    depth = KERNEL_SMALL_QUEUE + 16
+@pytest.mark.parametrize("policy", POLICIES)
+def test_deep_queue_matches(policy):
+    # Far deeper than any campaign or figure queue: every pending request
+    # is rescored at each dispatch.
+    depth = 64
     trace = random_trace(cacheless_drive(), n=3 * depth, interarrival_ms=0.0)
     kernel, scalar, engine = replay_both(
         trace, scheduler=policy, queue_depth=depth
