@@ -5,8 +5,11 @@ No timing here.  These tests pin what the throughput benchmarks do with
 
 * a gate whose section is missing from the committed baseline fails and
   names the section (it used to pass silently),
-* each benchmark rewrites only its own section, so a run stopped between
-  two benchmarks cannot drop the other's,
+* the write helpers leave the committed baseline byte-identical and write
+  only to the untracked output directory, so a run cannot ratchet the
+  baseline it is gated against,
+* each benchmark rewrites only its own section of the run's output, so a
+  run stopped between two benchmarks cannot drop the other's,
 * the committed baseline holds every section a gate reads, and
 * a history line records the commit, read from ``.git`` without git.
 """
@@ -65,9 +68,27 @@ def test_committed_baseline_holds_every_gated_section():
     assert _check_streaming_regression(baseline, baseline["streaming"]) == []
 
 
+def test_write_helpers_leave_the_committed_baseline_alone(tmp_path, monkeypatch):
+    committed = replay.BENCH_PATH.read_bytes()
+    # The real output directory is never committed.
+    ignored = (replay.REPO_ROOT / ".gitignore").read_text().splitlines()
+    assert f"{replay.OUT_DIR.relative_to(replay.REPO_ROOT).as_posix()}/" in ignored
+    out = tmp_path / "out"
+    monkeypatch.setattr(replay, "OUT_DIR", out)
+    monkeypatch.setattr(replay, "RUN_PATH", out / "BENCH_replay.json")
+    monkeypatch.setattr(replay, "HISTORY_PATH", out / "BENCH_history.jsonl")
+    replay.write_bench_section({"kernel": {"speedup_vs_naive": 1.0}})
+    replay.append_history({"kind": "kernel"})
+    replay.write_report("BENCH_replay", "report")
+    assert replay.BENCH_PATH.read_bytes() == committed
+    assert sorted(path.name for path in out.iterdir()) == [
+        "BENCH_history.jsonl", "BENCH_replay.json", "BENCH_replay.txt"
+    ]
+
+
 def test_each_benchmark_writes_only_its_own_section(tmp_path, monkeypatch):
     path = tmp_path / "BENCH_replay.json"
-    monkeypatch.setattr(replay, "BENCH_PATH", path)
+    monkeypatch.setattr(replay, "RUN_PATH", path)
     path.write_text(
         json.dumps({"naive": {"rps": 1}, "scheduled": {"a": 1}, "streaming": {"b": 2}})
     )

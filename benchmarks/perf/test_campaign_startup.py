@@ -9,8 +9,9 @@ geometry.
 
 This benchmark measures per-point setup time for a 16-point campaign over
 the full-size reference model, cached vs uncached, writes the numbers to
-``benchmarks/results/BENCH_campaign_startup.txt`` via the shared recorder,
-and asserts the cache buys at least a 3x setup speedup.
+``BENCH_campaign_startup.txt`` among the perf gates' untracked outputs
+(``test_replay_throughput.write_report``), and asserts the cache buys at
+least a 3x setup speedup.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import time
 
 from repro import DriveConfig, FleetConfig, build_fleet
 from repro.api.factory import clear_drive_build_cache
+from test_replay_throughput import write_report
 
 MODEL = "Quantum Atlas 10K II"
 POINTS = 16
@@ -39,7 +41,7 @@ def _build_points(clear_between: bool) -> float:
     return time.perf_counter() - t0
 
 
-def test_campaign_startup_cache(record):
+def test_campaign_startup_cache():
     uncached_s = _build_points(clear_between=True)
     cached_s = _build_points(clear_between=False)
     clear_drive_build_cache()
@@ -48,7 +50,7 @@ def test_campaign_startup_cache(record):
     cached_point_ms = cached_s / POINTS * 1e3
     speedup = uncached_s / cached_s
 
-    record(
+    write_report(
         "BENCH_campaign_startup",
         "\n".join(
             [

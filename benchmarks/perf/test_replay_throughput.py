@@ -14,11 +14,7 @@ first zone, the paper's signature workload shape) three ways:
 
 The kernel is measured twice: ``seconds_cold`` includes the one-time
 per-geometry table construction (cached per process), ``seconds`` is the
-steady-state run campaigns actually see.  Wall-clock requests/second for
-every mode is written to ``BENCH_replay.json`` at the repository root
-(uploaded as a CI artifact) and appended as one line to
-``benchmarks/results/BENCH_history.jsonl`` so the repo accumulates a perf
-trajectory across runs.
+steady-state run campaigns actually see.
 
 Two regression gates run in the same measurement:
 
@@ -40,14 +36,16 @@ the scalar queue loop by >= 8x on every policy, produce bitwise-identical
 ``ReplayStats``, and its per-policy speedups are regression-gated at 20 %
 against the committed baseline (same-run normalization again: the speedup
 is a ratio of two runs on the same machine, so it transfers across
-hardware).  Results land in a ``scheduled`` section of
-``BENCH_replay.json`` and as a second line ("kind": "scheduled") in
-``BENCH_history.jsonl``.
+hardware).
 
-Each benchmark writes only its own section of ``BENCH_replay.json``
-(:func:`write_bench_section`), so a run stopped between them cannot drop
-another benchmark's section.  Every history line records the commit
-measured (:func:`head_commit`).
+The gates only read the committed ``BENCH_replay.json``.  Everything a run
+writes goes to the untracked :data:`OUT_DIR` (CI uploads it): this run's
+sections of ``BENCH_replay.json`` (:func:`write_bench_section`, each
+benchmark its own section), one ``BENCH_history.jsonl`` line per benchmark
+recording the commit measured (:func:`append_history`), and the text
+reports (:func:`write_report`).  A baseline changes only by copying a
+section from there into the committed file by hand, in a change that says
+so.
 """
 
 from __future__ import annotations
@@ -67,8 +65,12 @@ from repro.sim import Trace, TraceReplayEngine
 from run import git_commit  # perfbench/run.py, put on sys.path by conftest.py
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+#: The committed baseline the gates read; no test writes it.
 BENCH_PATH = REPO_ROOT / "BENCH_replay.json"
-HISTORY_PATH = REPO_ROOT / "benchmarks" / "results" / "BENCH_history.jsonl"
+#: Everything a perf run writes (listed in ``.gitignore``).
+OUT_DIR = REPO_ROOT / "benchmarks" / "perf" / "out"
+RUN_PATH = OUT_DIR / "BENCH_replay.json"
+HISTORY_PATH = OUT_DIR / "BENCH_history.jsonl"
 
 MODEL = "Quantum Atlas 10K II"
 DRIVE_CONFIG = DriveConfig(model=MODEL)
@@ -95,17 +97,15 @@ SCHED_DEPTH = 8
 #: score keeps the most work inside the serial recurrence).
 MIN_SCHED_SPEEDUP = 8.0
 
-#: Committed baseline snapshotted at import, before any test rewrites
-#: ``BENCH_replay.json`` -- both benchmarks gate against the same commit.
-def _load_bench() -> dict:
+def _load_bench(path: pathlib.Path) -> dict:
     try:
-        data = json.loads(BENCH_PATH.read_text())
+        data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
         return {}
     return data if isinstance(data, dict) else {}
 
 
-COMMITTED_BASELINE = _load_bench()
+COMMITTED_BASELINE = _load_bench(BENCH_PATH)
 
 
 def _best_of(repeats: int, run) -> float:
@@ -162,17 +162,26 @@ def append_history(fields: dict) -> None:
         "python": platform.python_version(),
         **fields,
     }
-    HISTORY_PATH.parent.mkdir(exist_ok=True)
+    HISTORY_PATH.parent.mkdir(parents=True, exist_ok=True)
     with open(HISTORY_PATH, "a", encoding="utf-8") as handle:
         handle.write(json.dumps(line) + "\n")
 
 
 def write_bench_section(section: dict) -> None:
-    """Replace the top-level keys ``section`` holds in ``BENCH_replay.json``
-    and keep every other benchmark's keys as they are."""
-    merged = _load_bench()
+    """Replace the top-level keys ``section`` holds in this run's
+    ``BENCH_replay.json`` and keep every other benchmark's keys as they
+    are."""
+    merged = _load_bench(RUN_PATH)
     merged.update(section)
-    BENCH_PATH.write_text(json.dumps(merged, indent=2) + "\n")
+    RUN_PATH.parent.mkdir(parents=True, exist_ok=True)
+    RUN_PATH.write_text(json.dumps(merged, indent=2) + "\n")
+
+
+def write_report(name: str, text: str) -> None:
+    """Print a perf report and keep it as ``<name>.txt`` in :data:`OUT_DIR`."""
+    print(f"\n{text}\n")
+    OUT_DIR.mkdir(parents=True, exist_ok=True)
+    (OUT_DIR / f"{name}.txt").write_text(text + "\n")
 
 
 def missing_baseline(section: str) -> str:
@@ -197,12 +206,11 @@ def _check_regressions(baseline: dict, payload: dict) -> list[str]:
     return []
 
 
-def test_replay_throughput(record):
+def test_replay_throughput():
     reference = build_drive(DRIVE_CONFIG)
     trace = build_aligned_trace(reference, TRACE_REQUESTS)
     assert len(trace) >= 50_000
-    # Vectorized translation cache doubles as a trace sanity check: the
-    # whole trace is whole-track requests by construction.
+    # The whole trace is whole-track requests by construction.
     aligned_fraction = trace.aligned_fraction(reference.geometry)
     assert aligned_fraction == 1.0
 
@@ -278,9 +286,6 @@ def test_replay_throughput(record):
         "min_kernel_speedup_required": MIN_KERNEL_SPEEDUP,
         "max_regression_allowed": MAX_REGRESSION,
     }
-    # History records every run; the baseline is only replaced when the
-    # regression gate passes, so a failing run cannot ratchet the committed
-    # BENCH_replay.json down and green-light its own rerun.
     append_history(
         {
             "naive_rps": naive_rps,
@@ -289,9 +294,8 @@ def test_replay_throughput(record):
             "kernel_sharded_rps": kernel_sharded_rps,
         }
     )
+    write_bench_section(payload)
     regressions = _check_regressions(COMMITTED_BASELINE, payload)
-    if not regressions:
-        write_bench_section(payload)
 
     lines = [
         "Replay throughput (wall-clock requests/second)",
@@ -303,9 +307,10 @@ def test_replay_throughput(record):
         f"({speedup_kernel_sharded:.2f}x)",
         f"  sim throughput (fleet) : {kernel_sharded_stats.requests_per_second:>10.0f} "
         "req/s of simulated time",
-        f"  artifacts: {BENCH_PATH.name}, {HISTORY_PATH.relative_to(REPO_ROOT)}",
+        f"  artifacts: {RUN_PATH.relative_to(REPO_ROOT)}, "
+        f"{HISTORY_PATH.relative_to(REPO_ROOT)}",
     ]
-    record("BENCH_replay", "\n".join(lines))
+    write_report("BENCH_replay", "\n".join(lines))
 
     assert speedup_kernel >= MIN_KERNEL_SPEEDUP, (
         f"kernel replay only {speedup_kernel:.2f}x faster than the naive "
@@ -379,7 +384,7 @@ def _check_sched_regressions(baseline: dict, section: dict) -> list[str]:
     return failures
 
 
-def test_scheduled_replay_throughput(record):
+def test_scheduled_replay_throughput():
     drive = build_drive(KERNEL_DRIVE_CONFIG)
     trace = build_sched_trace(drive, SCHED_REQUESTS)
     assert len(trace) == SCHED_REQUESTS
@@ -415,17 +420,17 @@ def test_scheduled_replay_throughput(record):
             f"{len(trace) / scalar_s:>8.0f} rps scalar  ({speedup:.2f}x)"
         )
     lines.append(
-        f"  artifacts: {BENCH_PATH.name}, {HISTORY_PATH.relative_to(REPO_ROOT)}"
+        f"  artifacts: {RUN_PATH.relative_to(REPO_ROOT)}, "
+        f"{HISTORY_PATH.relative_to(REPO_ROOT)}"
     )
-    record("BENCH_replay_scheduled", "\n".join(lines))
+    write_report("BENCH_replay_scheduled", "\n".join(lines))
 
     history = {"kind": "scheduled", "depth": SCHED_DEPTH, "requests": SCHED_REQUESTS}
     for policy, row in section["policies"].items():
         history[f"{policy}_speedup"] = row["speedup_vs_scalar"]
     append_history(history)
+    write_bench_section({"scheduled": section})
     regressions = _check_sched_regressions(COMMITTED_BASELINE, section)
-    if not regressions:
-        write_bench_section({"scheduled": section})
 
     slow = {
         policy: row["speedup_vs_scalar"]

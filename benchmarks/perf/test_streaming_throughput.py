@@ -19,9 +19,9 @@ a *ratio* (streamed rps / one-shot rps), so it transfers across machines:
   the ``streaming`` section of ``BENCH_replay.json``; a committed file
   without that section fails the gate.
 
-Results are merged into ``BENCH_replay.json`` (a ``streaming`` section,
-preserving the sections owned by the other benchmarks) and appended as a
-``"kind": "streaming"`` line to ``benchmarks/results/BENCH_history.jsonl``.
+Results go where every perf gate writes (``test_replay_throughput.OUT_DIR``,
+untracked): a ``streaming`` section of this run's ``BENCH_replay.json`` and
+a ``"kind": "streaming"`` line of ``BENCH_history.jsonl``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro import build_drive
 from repro.sim import TraceStream
 
 from test_replay_throughput import (
-    BENCH_PATH,
     COMMITTED_BASELINE,
     HISTORY_PATH,
     KERNEL_DRIVE_CONFIG,
@@ -38,6 +37,7 @@ from test_replay_throughput import (
     MODEL,
     REPEATS,
     REPO_ROOT,
+    RUN_PATH,
     TRACE_REQUESTS,
     TraceReplayEngine,
     _best_of,
@@ -45,6 +45,7 @@ from test_replay_throughput import (
     build_aligned_trace,
     missing_baseline,
     write_bench_section,
+    write_report,
 )
 
 #: Chunk size for the streamed run: small enough that the 50k-request trace
@@ -70,7 +71,7 @@ def _check_streaming_regression(baseline: dict, section: dict) -> list[str]:
     return []
 
 
-def test_streaming_throughput(record):
+def test_streaming_throughput():
     drive = build_drive(KERNEL_DRIVE_CONFIG)
     trace = build_aligned_trace(drive, TRACE_REQUESTS)
     chunks = list(trace.iter_chunks(STREAM_CHUNK_REQUESTS))
@@ -119,11 +120,10 @@ def test_streaming_throughput(record):
             "stream_ratio": ratio,
         }
     )
+    write_bench_section({"streaming": section})
     regressions = _check_streaming_regression(COMMITTED_BASELINE, section)
-    if not regressions:
-        write_bench_section({"streaming": section})
 
-    record(
+    write_report(
         "BENCH_replay_streaming",
         "\n".join(
             [
@@ -133,7 +133,7 @@ def test_streaming_throughput(record):
                 f"  one-shot kernel : {one_shot_rps:>10.0f} rps",
                 f"  streamed kernel : {streamed_rps:>10.0f} rps  "
                 f"({ratio:.3f}x of one-shot)",
-                f"  artifacts: {BENCH_PATH.name}, "
+                f"  artifacts: {RUN_PATH.relative_to(REPO_ROOT)}, "
                 f"{HISTORY_PATH.relative_to(REPO_ROOT)}",
             ]
         ),

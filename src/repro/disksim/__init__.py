@@ -21,7 +21,6 @@ from .defects import Defect, DefectHandling, DefectList
 from .drive import (
     READ,
     WRITE,
-    BatchResult,
     CompletedRequest,
     DiskDrive,
     DiskRequest,
@@ -72,7 +71,6 @@ from .specs import (
 __all__ = [
     "AddressError",
     "ArcAccess",
-    "BatchResult",
     "BusModel",
     "BusResult",
     "CLOOKScheduler",

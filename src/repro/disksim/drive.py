@@ -25,7 +25,7 @@ ascending LBN order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .bus import BusModel
 from .cache import FirmwareCache
@@ -125,53 +125,6 @@ class _MediaTiming:
     runs: list[MediaRun]
     end_cylinder: int
     end_surface: int
-
-
-@dataclass
-class BatchResult:
-    """Columnar timing results of a run of scalar-path requests.
-
-    One entry per request, in service order.  Carries exactly the numbers
-    the :class:`CompletedRequest` objects did, as parallel lists that the
-    replay aggregator folds column by column.
-    """
-
-    issue_times: list[float] = field(default_factory=list)
-    mech_starts: list[float] = field(default_factory=list)
-    seek_ms: list[float] = field(default_factory=list)
-    settle_ms: list[float] = field(default_factory=list)
-    latency_ms: list[float] = field(default_factory=list)
-    head_switch_ms: list[float] = field(default_factory=list)
-    transfer_ms: list[float] = field(default_factory=list)
-    bus_ms: list[float] = field(default_factory=list)
-    overlap_ms: list[float] = field(default_factory=list)
-    media_ends: list[float] = field(default_factory=list)
-    completions: list[float] = field(default_factory=list)
-    cache_hits: list[bool] = field(default_factory=list)
-    streamed: list[bool] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.completions)
-
-    def media_busy_ms(self) -> list[float]:
-        """Per-request time the mechanism was dedicated to the request."""
-        return [max(0.0, e - s) for e, s in zip(self.media_ends, self.mech_starts)]
-
-    def append_completed(self, done: CompletedRequest) -> None:
-        """Append one serviced request."""
-        self.issue_times.append(done.issue_time)
-        self.mech_starts.append(done.mech_start)
-        self.seek_ms.append(done.seek_ms)
-        self.settle_ms.append(done.settle_ms)
-        self.latency_ms.append(done.rotational_latency_ms)
-        self.head_switch_ms.append(done.head_switch_ms)
-        self.transfer_ms.append(done.media_transfer_ms)
-        self.bus_ms.append(done.bus_ms)
-        self.overlap_ms.append(done.bus_overlap_ms)
-        self.media_ends.append(done.media_end)
-        self.completions.append(done.completion)
-        self.cache_hits.append(done.cache_hit)
-        self.streamed.append(done.streamed)
 
 
 @dataclass

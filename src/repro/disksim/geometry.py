@@ -46,8 +46,9 @@ _NUMPY_CACHE = _NUMPY_UNRESOLVED
 
 
 def _numpy():
-    """NumPy is optional and only accelerates the batched fast paths
-    (:meth:`translate_batch` and :mod:`repro.sim.kernel`); import lazily so
+    """NumPy is optional and only accelerates the replay core (the columnar
+    kernel of :mod:`repro.sim.kernel`, and the timestamp checks and
+    statistics of :mod:`repro.sim.stream`); import lazily so
     ``import repro.disksim`` stays cheap without it.
 
     The result (module or ``None``) is cached for the life of the process.
@@ -546,57 +547,6 @@ class DiskGeometry:
         """Physical slot index (on its own track) of an LBN, ignoring
         remapping (remapped LBNs are handled separately by the drive)."""
         return self.lbn_to_physical(lbn).sector
-
-    # ------------------------------------------------------------------ #
-    # Memoized / vectorized translation fast paths
-    # ------------------------------------------------------------------ #
-    def translate_batch(
-        self, lbns: Sequence[int]
-    ) -> tuple[list[int], list[int], list[int], list[int]]:
-        """Vectorized LBN-to-physical translation.
-
-        Returns parallel lists ``(tracks, cylinders, surfaces, sectors)``
-        for every LBN in ``lbns``.  On a defect-free geometry the whole
-        translation is computed with NumPy ``searchsorted`` when NumPy is
-        available; geometries with defects (and environments without NumPy)
-        fall back to the exact scalar path per LBN.  Results are always
-        identical to :meth:`lbn_to_physical`.
-        """
-        np = None if self._has_defects else _numpy()
-        if np is None:
-            tracks: list[int] = []
-            cylinders: list[int] = []
-            surfaces: list[int] = []
-            sectors: list[int] = []
-            for lbn in lbns:
-                addr = self.lbn_to_physical(lbn)
-                tracks.append(self.track_of_lbn(lbn))
-                cylinders.append(addr.cylinder)
-                surfaces.append(addr.surface)
-                sectors.append(addr.sector)
-            return tracks, cylinders, surfaces, sectors
-        arr = np.asarray(lbns, dtype=np.int64)
-        if arr.size and (arr.min() < 0 or arr.max() >= self._total_lbns):
-            bad = int(arr[(arr < 0) | (arr >= self._total_lbns)][0])
-            raise AddressError(f"LBN {bad} out of range (0..{self._total_lbns - 1})")
-        firsts = np.asarray(self._track_first_lbn, dtype=np.int64)
-        counts = np.asarray(self._track_lbn_count, dtype=np.int64)
-        track_arr = np.searchsorted(firsts, arr, side="right") - 1
-        # Zero-capacity (spare) tracks share first_lbn with the next real
-        # track; walk back over them exactly like the scalar path.
-        empty = counts[track_arr] == 0
-        while empty.any():
-            track_arr = np.where(empty, track_arr - 1, track_arr)
-            empty = counts[track_arr] == 0
-        cyl_arr = track_arr // self._surfaces
-        surf_arr = track_arr - cyl_arr * self._surfaces
-        sector_arr = arr - firsts[track_arr]
-        return (
-            track_arr.tolist(),
-            cyl_arr.tolist(),
-            surf_arr.tolist(),
-            sector_arr.tolist(),
-        )
 
     # ------------------------------------------------------------------ #
     # Convenience constructors

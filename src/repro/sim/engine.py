@@ -7,17 +7,17 @@ supported:
 
 * **open** replay -- requests are issued at the timestamps recorded in the
   trace; each drive applies its own actuator/bus availability, so queueing
-  develops naturally when arrivals outrun service.  Per-shard streams are
-  serviced by the columnar kernel (:mod:`repro.sim.kernel`) or, where it
-  refuses, by the exact scalar oracle: one :meth:`DiskDrive.submit` per
-  request.
+  develops naturally when arrivals outrun service.
 * **closed** replay -- trace timestamps are ignored; each drive keeps
-  exactly one request outstanding (onereq semantics, Section 5.2 of the
-  paper), issuing the next one when the previous one completes.
+  ``queue_depth`` requests outstanding (one by default: onereq semantics,
+  Section 5.2 of the paper), issuing the next one when one completes.
 
-Every replay runs in :mod:`repro.sim.stream`: a one-shot replay is a
-one-chunk stream.  Both disciplines are deterministic: the same trace on a
-fresh fleet always produces bitwise-identical statistics.
+Every replay runs through the one replay loop of :mod:`repro.sim.stream`
+(a one-shot replay is a one-chunk stream), which serves each chunk on the
+columnar kernel (:mod:`repro.sim.kernel`) or, where it is refused, on the
+exact scalar oracle: one :meth:`DiskDrive.submit` per request.  Both
+disciplines are deterministic: the same trace on a fresh fleet always
+produces bitwise-identical statistics.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ class TraceReplayEngine:
     ``"fast disabled"`` when ``fast=False`` pinned the scalar path, and
     otherwise exactly one documented refusal string from
     :mod:`repro.sim.kernel` --
-    ``"numpy unavailable"``, ``"empty trace"``,
+    ``"numpy unavailable"``,
     ``"fault injection active"`` (a fault schedule is attached, so only
     the exact scalar path -- which advances the seeded fault RNG in
     service order -- may produce numbers),
@@ -154,14 +154,14 @@ class TraceReplayEngine:
     :class:`~repro.disksim.sched.Scheduler` instance used as a per-drive
     prototype, or ``None`` = FCFS).  Under FCFS every replay is served in
     arrival order, on the kernel or the scalar oracle, and a starvation
-    bound never changes that schedule.  Any other policy replays through
-    the same kernel (:func:`repro.sim.kernel.replay_kernel_sched`,
-    ``last_replay_path == "kernel_sched"``) whenever it is applicable,
-    falling back to the exact scalar queue loop otherwise; results are
-    bitwise identical either way.
+    bound never changes that schedule.  A one-shot replay under any other
+    policy runs on the same kernel, dispatching from its pending queue
+    (``last_replay_path == "kernel_sched"``), whenever it is applicable,
+    and on the exact scalar queue loop otherwise; results are bitwise
+    identical either way.
 
-    Every replay runs through the drivers of :mod:`repro.sim.stream` (a
-    one-shot replay is a one-chunk stream), so its timestamps are checked
+    Every replay runs through the one replay loop of :mod:`repro.sim.stream`
+    (a one-shot replay is a one-chunk stream), so its timestamps are checked
     like a stream's: a NaN or negative one raises
     :class:`~repro.disksim.errors.ConfigError` naming its index.
 
@@ -211,17 +211,17 @@ class TraceReplayEngine:
         With a non-FCFS scheduler, requests are admitted at their
         timestamps into each drive's pending queue and dispatched by the
         policy; the kernel serves the whole trace when applicable, the
-        exact scalar queue loop otherwise.  The
-        returned statistics are bitwise identical whichever path runs.
+        exact scalar queue loop otherwise.  The returned statistics are
+        bitwise identical whichever path runs.
         """
         from .stream import replay_once
 
         return replay_once(self, trace, "open", 0.0, reset)
 
-    def _route_open(
-        self, ordered: Trace
-    ) -> tuple[list, list, list, list]:
-        """Route a time-ordered trace into per-shard request columns.
+    def _route(self, ordered: Trace) -> tuple[list, list, list, list]:
+        """Route a chunk into per-shard request columns, keeping its row
+        order (arrival order in an open replay, trace order in a closed
+        one).
 
         Returns ``(ops, lbns, counts, issue_times)``, each a list with one
         per-shard column.  Single-drive fleets reuse the trace columns
@@ -269,17 +269,6 @@ class TraceReplayEngine:
                 shard_times[piece.shard].append(t)
         fleet.routed_requests += routed
         return shard_ops, shard_lbns, shard_counts, shard_times
-
-    def _route_closed(self, trace: Trace) -> list[list[tuple[str, int, int]]]:
-        """Route a trace into per-shard ``(op, local_lbn, count)`` queues
-        for closed replay (timestamps are ignored; trace order is kept)."""
-        fleet = self.fleet
-        queues: list[list[tuple[str, int, int]]] = [[] for _ in range(len(fleet))]
-        route = fleet.route
-        for lbn, count, op in zip(trace.lbns, trace.counts, trace.ops):
-            for shard, local_lbn, piece_count in route(lbn, count):
-                queues[shard].append((op, local_lbn, piece_count))
-        return queues
 
     # ------------------------------------------------------------------ #
     # Closed replay

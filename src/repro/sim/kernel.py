@@ -1,10 +1,11 @@
 """Columnar fast-path replay kernel: shard-local service with numpy.
 
-One kernel, :func:`_service_shard`, serves every kernel-class replay: the
-chunks of an open FCFS stream (reported as ``"kernel"``), closed FCFS
-depth-1 chunks and every whole-trace :func:`replay_kernel_sched` replay
-(``"kernel_sched"``).  It services a shard-local request stream with the
-per-request work split into two phases:
+One kernel, :func:`_service_shard`, serves every kernel-class chunk the
+replay loop (:func:`repro.sim.stream._replay`) hands it: the chunks of
+an open FCFS replay (reported as ``"kernel"``), closed FCFS depth-1 chunks
+and the one chunk of a scheduled one-shot replay (``"kernel_sched"``).  It
+services a shard-local request stream with the per-request work split into
+two phases:
 
 * **vectorized precompute** -- everything that is a pure function of the
   request stream and the immutable drive configuration is computed with
@@ -35,8 +36,9 @@ columns (:class:`~repro.disksim.sched.KernelQueueView`) at each dispatch,
 mirroring ``Scheduler.pop``.  Both dispatch orders share the single-track
 service arithmetic and the multi-track fallback below.
 
-The kernel refuses (returns a reason, and the caller falls back to the
-exact scalar path) whenever its model could diverge from the scalar one:
+The kernel is refused (the replay loop reports a reason and runs the
+exact scalar oracle instead) whenever its model could diverge from the
+scalar one:
 
 * numpy is not importable,
 * a fault schedule is attached to some drive,
@@ -51,8 +53,8 @@ exact scalar path) whenever its model could diverge from the scalar one:
   continuations and later chunks of a stream keep the kernel), so the
   scalar path could serve cache hits or prefetch streams the kernel does
   not model, or
-* (:func:`replay_kernel_sched`) a scheduler subclass overrides the scalar
-  policy hooks without matching kernel hooks:
+* (scheduled replays) a scheduler subclass overrides the scalar policy
+  hooks without matching kernel hooks:
   ``"scheduler not kernel-vectorizable"``.
 
 Requests that span multiple tracks are serviced through the drive's exact
@@ -79,7 +81,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..disksim.drive import DiskDrive
     from ..disksim.geometry import DiskGeometry
     from ..disksim.seek import SeekCurve
-    from .engine import ReplayStats
     from .shard import LbnRangeShard
     from .stream import _ShardAgg
     from .trace import Trace
@@ -229,11 +230,8 @@ def warm_cache_clean(np, cache, lbns, is_read) -> bool:
 
 
 def fleet_eligibility(fleet: "LbnRangeShard") -> "str | None":
-    """Drive-level kernel refusal reason for ``fleet``, or None if eligible.
-
-    Shared by :func:`replay_kernel_sched` and the streaming drivers
-    (:mod:`repro.sim.stream`).
-    """
+    """Drive-level kernel refusal reason for ``fleet``, or None if eligible
+    (checked once per replay by :mod:`repro.sim.stream`'s kernel gate)."""
     for drive in fleet.drives:
         if getattr(drive, "faults", None) is not None:
             # Fault schedules advance a seeded RNG per serviced request and
@@ -311,18 +309,16 @@ def shard_split(np, fleet: "LbnRangeShard", lbns, counts, issue, is_read):
     return shard_cols, split
 
 
-def eligible_shard_columns(
-    np, fleet: "LbnRangeShard", ordered: "Trace", warm: bool = True
-):
+def eligible_shard_columns(np, fleet: "LbnRangeShard", ordered: "Trace"):
     """Kernel-eligible per-shard columns of a trace in admission order.
 
     Returns ``(shard_cols, split, None)`` as :func:`shard_split` does, or
     ``(None, 0, reason)`` from :func:`trace_columns` or the cache gates:
     every read must be a guaranteed miss, both against the other reads of
-    its shard (:func:`_cache_sensitive`) and, with ``warm``, against what
-    the drive's cache holds now (:func:`warm_cache_clean`).  A replay that
-    resets the fleet before servicing passes ``warm=False``: the caches it
-    will run against are pristine.  The caller adds the routing counters
+    its shard (:func:`_cache_sensitive`) and against what the drive's cache
+    holds now (:func:`warm_cache_clean`; a replay that resets the fleet
+    checks a pristine cache, which always passes).  Nothing here touches
+    the fleet: the caller adds the routing counters
     (:func:`count_routing`) once it commits to the columns.
     """
     columns, reason = trace_columns(np, fleet, ordered)
@@ -331,7 +327,7 @@ def eligible_shard_columns(
     shard_cols, split = shard_split(np, fleet, *columns)
     for (lbns, counts, _issue, is_read), drive in zip(shard_cols, fleet.drives):
         if _cache_sensitive(np, drive.cache, lbns, counts, is_read) or (
-            warm and not warm_cache_clean(np, drive.cache, lbns, is_read)
+            not warm_cache_clean(np, drive.cache, lbns, is_read)
         ):
             return None, 0, "firmware-cache-sensitive reuse"
     return shard_cols, split, None
@@ -432,7 +428,7 @@ def _service_shard(
     seek_lut_l = seek_table_list(drive.seek_curve, geometry.cylinders)
     surfaces = geometry.surfaces
 
-    # ---- vectorized translation (mirrors translate_batch) -------------- #
+    # ---- vectorized translation (mirrors DiskGeometry.track_of_lbn) ---- #
     track = np.searchsorted(tr_first, lbns, side="right") - 1
     empty = tr_count[track] == 0
     while empty.any():
@@ -882,89 +878,12 @@ def _service_shard(
     return out, forced, now
 
 
-# --------------------------------------------------------------------------- #
-# Whole-trace scheduled replay
-# --------------------------------------------------------------------------- #
-
-def replay_kernel_sched(
-    fleet: "LbnRangeShard",
-    trace: "Trace",
-    scheduler,
-    mode: str = "open",
-    queue_depth: int = 1,
-    think_ms: float = 0.0,
-    reset: bool = True,
-) -> "tuple[ReplayStats | None, str | None]":
-    """Attempt an event-batched scheduled replay of ``trace``.
-
-    The columnar counterpart of the scalar queue loops
-    (``_stream_open_scheduled`` / ``_stream_closed_scheduled`` in
-    :mod:`repro.sim.stream`): requests are admitted to a pending queue (at
-    trace timestamps in ``mode="open"``, keeping up to ``queue_depth``
-    outstanding in ``mode="closed"``) and the ``scheduler``'s vectorized
-    ``kernel_select`` hook picks each dispatch from precomputed
-    geometry/score columns (open FCFS dispatches in arrival order, see
-    :func:`_service_shard`).  Returns ``(stats, None)`` on success or
-    ``(None, reason)`` when the kernel is not applicable, with the kernel
-    refusal vocabulary (see the module docstring) plus ``"empty trace"``
-    and ``"scheduler not kernel-vectorizable"`` for policies that override
-    the scalar hooks without matching kernel hooks.  Eligibility is decided
-    before any fleet state is touched.
-    """
-    np = _numpy()
-    if np is None:
-        return None, "numpy unavailable"
-    if len(trace) == 0:
-        return None, "empty trace"
-    from ..disksim.sched import kernel_fallback_reason
-    from .stream import _StreamAggregator
-
-    reason = kernel_fallback_reason(scheduler) or fleet_eligibility(fleet)
-    if reason is not None:
-        return None, reason
-
-    if mode == "open":
-        ordered = trace if trace.is_time_ordered() else trace.sorted_by_issue()
-    else:
-        # Closed replay ignores timestamps and admits in raw trace order.
-        ordered = trace
-    shard_cols, split, reason = eligible_shard_columns(
-        np, fleet, ordered, warm=not reset
-    )
-    if reason is not None:
-        return None, reason
-
-    # ---- committed: mirror the scalar queue loops' bookkeeping --------- #
-    if reset:
-        fleet.reset()
-    agg = _StreamAggregator(fleet, mode)
-    agg.trace_requests = len(trace)
-    count_routing(fleet, shard_cols, split)
-    forced = 0
-    for shard, ((s_lbns, s_counts, s_issue, s_read), drive) in enumerate(
-        zip(shard_cols, fleet.drives)
-    ):
-        shard_sched = scheduler.clone()
-        shard_sched.kernel_reset()
-        outcome, shard_forced, _ = _service_shard(
-            np, drive, shard_sched, s_lbns, s_counts, s_issue, s_read,
-            mode, queue_depth, think_ms, agg.shards[shard],
-        )
-        agg.add_kernel(shard, outcome)
-        forced += shard_forced
-
-    stats = agg.finalize()
-    stats.extras["forced_dispatches"] = float(forced)
-    return stats, None
-
-
 __all__ = [
     "clear_kernel_tables",
     "count_routing",
     "eligible_shard_columns",
     "fleet_eligibility",
     "geometry_tables",
-    "replay_kernel_sched",
     "seek_table",
     "seek_table_list",
     "shard_split",

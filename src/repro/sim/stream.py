@@ -1,50 +1,42 @@
 """The replay core: every trace replay runs here, as a stream of chunks.
 
 A :class:`TraceStream` is a lazy sequence of bounded columnar
-:class:`~repro.sim.trace.Trace` chunks sharing one global timeline.  The
-drivers in this module consume a stream chunk by chunk with **warm-state
-continuation** -- actuator/bus availability, head position, firmware-cache
-contents, per-shard clocks and every statistics fold carry across chunk
-boundaries -- so the returned :class:`~repro.sim.engine.ReplayStats` is
-**bitwise identical** to a one-shot replay of the concatenated trace, while
-memory stays proportional to the chunk size (plus two 8-byte floats per
-request for the response/outstanding statistics).
+:class:`~repro.sim.trace.Trace` chunks sharing one global timeline.  One
+chunk loop, :func:`_replay`, consumes a stream chunk by chunk with
+**warm-state continuation** -- actuator/bus availability, head position,
+firmware-cache contents, per-shard clocks, scheduler queues and every
+statistics fold carry across chunk boundaries -- so the returned
+:class:`~repro.sim.engine.ReplayStats` is **bitwise identical** to a
+one-shot replay of the concatenated trace, while memory stays proportional
+to the chunk size (plus two 8-byte floats per request for the
+response/outstanding statistics).
 
 A one-shot replay (:meth:`TraceReplayEngine.replay` /
 :meth:`TraceReplayEngine.replay_closed`, served by :func:`replay_once`) is
-a one-chunk stream through the same drivers, and every replay -- one-shot
+a one-chunk stream through the same loop, and every replay -- one-shot
 or streamed, kernel or scalar -- folds its results through the one
 aggregator here, :class:`_StreamAggregator`.
 
-Path selection per replay discipline:
+Path selection lives in :func:`_kernel_gate` (replay-wide) and
+:func:`_replay` (per chunk).  Each chunk runs on the columnar kernel
+(:func:`repro.sim.kernel._service_shard`) when the gate and the chunk's
+:func:`repro.sim.kernel.eligible_shard_columns` allow it, and otherwise on
+the exact scalar oracle (:class:`_Oracle`): one
+:meth:`~repro.disksim.drive.DiskDrive.submit` per routed request.  Mixing
+is bitwise-safe because both paths leave identical drive state.  Chunks
+whose reads would touch cache state left by *earlier* chunks fall back
+(the dynamic :func:`repro.sim.kernel.warm_cache_clean` gate), so cache-hit
+servicing stays on the exact scalar path.  By discipline:
 
-* **open FCFS** -- each chunk is serviced by the columnar kernel
-  (:func:`repro.sim.kernel._service_shard`, dispatching in arrival order)
-  with accumulator-fold carry whenever the chunk is eligible, falling back
-  per chunk otherwise to the exact scalar oracle: one
-  :meth:`~repro.disksim.drive.DiskDrive.submit` per routed request, in
-  arrival order.  Mixing is bitwise-safe because both paths leave
-  identical drive state.  Chunks whose reads would touch cache state left
-  by *earlier* chunks fall back (the dynamic
-  :func:`repro.sim.kernel.warm_cache_clean` gate), so cache-hit servicing
-  stays on the exact scalar path.
-* **closed FCFS, depth 1** (classic onereq) -- chunks go through the same
-  kernel, dispatching from its pending queue, with a carried per-shard
-  clock, or through an exact sequential scalar loop.
-* **open non-FCFS** -- exact scalar persistent-queue streaming: each
-  drive's scheduler queue survives across chunks, and dispatch decisions
-  at or beyond the next chunk's first timestamp are deferred until that
-  chunk arrives (requests that would have been admitted first in a
-  one-shot replay are then admitted first here too).
-* **closed non-FCFS or depth > 1** -- exact scalar persistent-queue
-  streaming; admissions owed at a chunk boundary are performed before the
-  next dispatch, so the queue always holds exactly what an unchunked
-  replay's would hold.
-
-The kernel cannot carry a pending queue across chunks, so a scheduled
-replay uses it only one-shot: :func:`replay_once` tries
-:func:`repro.sim.kernel.replay_kernel_sched` on the whole trace before its
-one chunk takes the scalar queue loop.
+* **open FCFS** -- kernel chunks dispatch in arrival order; oracle chunks
+  submit each request at its arrival.
+* **closed FCFS, depth 1** (classic onereq) -- kernel chunks dispatch from
+  the kernel's pending queue; oracle chunks submit sequentially; both on
+  one carried per-shard clock.
+* **scheduled** (a non-FCFS policy, or closed depth > 1) -- the kernel
+  cannot carry its pending queue across chunks, so only a one-shot replay
+  may run on it; a stream runs the oracle's persistent queue loops and
+  reports :data:`SCHED_STREAM_REASON`.
 
 The open-loop **service scenario** (:func:`run_service`) replays an
 arrival-process stream against an LBN-sharded fleet and reports
@@ -59,13 +51,14 @@ from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from ..disksim.drive import BatchResult, DiskRequest
+from ..disksim.drive import DiskRequest
 from ..disksim.errors import ConfigError, RequestError
 from ..disksim.geometry import _numpy
 from ..faults import fleet_fault_extras
 from .trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..disksim.drive import CompletedRequest
     from .engine import ReplayStats, TraceReplayEngine
     from .kernel import _ShardOutcome
     from .shard import LbnRangeShard
@@ -190,26 +183,17 @@ class TraceStream:
 # Aggregation
 # --------------------------------------------------------------------------- #
 
-def _fold(acc: float, values) -> float:
-    """``acc + values[0] + values[1] + ...``, added left to right.
-
-    The built-in ``sum`` of floats is compensated from Python 3.12 on, so
-    ``sum(b, sum(a))`` can differ from ``sum(a + b)``: it cannot continue
-    one fold across chunks, nor match the kernel's plain ``+=``."""
-    for value in values:
-        acc += value
-    return acc
-
-
 class _ShardAgg:
     """Per-shard fold state: response events plus breakdown accumulators.
 
     Only ``issues``/``completions`` grow with the stream (8 bytes per
-    request each); every per-request timing column is folded into its
-    running sum as chunks complete, continuing one exact left fold over
-    the shard's requests in service order, whatever the chunking: scalar
-    chunks through :func:`_fold`, kernel chunks with the kernel's own
-    ``+=``."""
+    request each); every per-request timing term is added to its running
+    sum as its request completes, one exact left fold over the shard's
+    requests in service order, whatever the chunking: the oracle's requests
+    through :meth:`_StreamAggregator.add_completed`, the kernel's with its
+    own ``+=``.  (The built-in ``sum`` of floats is compensated from Python
+    3.12 on, so it could neither continue a fold across chunks nor match
+    the kernel's ``+=``.)"""
 
     __slots__ = (
         "issues", "completions", "requests", "seek", "settle", "latency",
@@ -253,28 +237,24 @@ class _StreamAggregator:
         self.end_ms = float("-inf")
 
     # ------------------------------------------------------------------ #
-    def add_scalar(self, shard: int, result: "BatchResult") -> None:
-        """Fold one chunk's scalar ``BatchResult`` for ``shard``."""
-        if not len(result):
-            return
+    def add_completed(self, shard: int, done: "CompletedRequest") -> None:
+        """Fold one request the scalar oracle served on ``shard``."""
         agg = self.shards[shard]
-        agg.issues.extend(result.issue_times)
-        agg.completions.extend(result.completions)
-        agg.requests += len(result)
-        agg.seek = _fold(agg.seek, result.seek_ms)
-        agg.settle = _fold(agg.settle, result.settle_ms)
-        agg.latency = _fold(agg.latency, result.latency_ms)
-        agg.head_switch = _fold(agg.head_switch, result.head_switch_ms)
-        agg.transfer = _fold(agg.transfer, result.transfer_ms)
-        agg.bus = _fold(agg.bus, result.bus_ms)
-        agg.overlap = _fold(agg.overlap, result.overlap_ms)
-        agg.busy = _fold(agg.busy, result.media_busy_ms())
-        start = min(result.issue_times)
-        end = max(result.completions)
-        if start < self.start_ms:
-            self.start_ms = start
-        if end > self.end_ms:
-            self.end_ms = end
+        agg.issues.append(done.issue_time)
+        agg.completions.append(done.completion)
+        agg.requests += 1
+        agg.seek += done.seek_ms
+        agg.settle += done.settle_ms
+        agg.latency += done.rotational_latency_ms
+        agg.head_switch += done.head_switch_ms
+        agg.transfer += done.media_transfer_ms
+        agg.bus += done.bus_ms
+        agg.overlap += done.bus_overlap_ms
+        agg.busy += done.media_busy_ms
+        if done.issue_time < self.start_ms:
+            self.start_ms = done.issue_time
+        if done.completion > self.end_ms:
+            self.end_ms = done.completion
 
     def add_kernel(self, shard: int, out: "_ShardOutcome") -> None:
         """Fold one chunk's kernel ``_ShardOutcome`` for ``shard``.
@@ -488,7 +468,7 @@ class _StreamAggregator:
 
 
 # --------------------------------------------------------------------------- #
-# Streaming replay drivers
+# The replay loop
 # --------------------------------------------------------------------------- #
 
 def _counted(agg: _StreamAggregator, stream: "TraceStream") -> Iterator["Trace"]:
@@ -507,377 +487,313 @@ def _as_stream(chunks, require_ordered: bool) -> TraceStream:
     return TraceStream(chunks, require_ordered=require_ordered)
 
 
-def _kernel_gate(engine: "TraceReplayEngine"):
-    """Stream-wide kernel availability: ``(np, reason)``.
+#: Refusal reason reported when a scheduled (non-FCFS or deep-queue)
+#: replay streams through the exact scalar queue loops: the kernel cannot
+#: carry its pending queue across chunk columns.
+SCHED_STREAM_REASON = "scheduler not chunk-vectorizable"
 
-    Cache state is not checked here: each chunk is guarded by the dynamic
-    gates of :func:`repro.sim.kernel.eligible_shard_columns` instead.
+
+def _scheduled(engine: "TraceReplayEngine", mode: str) -> bool:
+    """Whether ``engine`` replays ``mode`` from a pending queue (a non-FCFS
+    policy, or a closed queue deeper than one)."""
+    return engine.scheduler_name != "fcfs" or (
+        mode == "closed" and engine.queue_depth > 1
+    )
+
+
+def _kernel_gate(engine: "TraceReplayEngine", scheduled: bool, one_shot: bool):
+    """Replay-wide kernel availability: ``(np, None)``, or ``(None, reason)``.
+
+    Checked in this order: ``fast=False``; a scheduled replay that is not
+    one-shot (:data:`SCHED_STREAM_REASON`); numpy; the scheduler's kernel
+    hooks (scheduled replays only); the drives.  Cache state is not checked
+    here: :func:`repro.sim.kernel.eligible_shard_columns` guards each chunk.
     """
+    from ..disksim.sched import kernel_fallback_reason
     from .kernel import fleet_eligibility
 
     if engine.fast is not None and not engine.fast:
         return None, "fast disabled"
+    if scheduled and not one_shot:
+        return None, SCHED_STREAM_REASON
     np = _numpy()
     if np is None:
         return None, "numpy unavailable"
-    reason = fleet_eligibility(engine.fleet)
+    reason = (
+        kernel_fallback_reason(engine.scheduler) if scheduled else None
+    ) or fleet_eligibility(engine.fleet)
     if reason is not None:
         return None, reason
     return np, None
 
 
-def _finish(engine, agg, kernel_chunks, scalar_chunks, kernel_path, reason):
-    stats = agg.finalize()
-    if kernel_chunks and scalar_chunks:
-        engine.last_replay_path = "mixed"
-    elif kernel_chunks:
-        engine.last_replay_path = kernel_path
-    else:
-        engine.last_replay_path = "scalar"
-    if kernel_chunks:
-        engine.last_fast_reason = "ok"
-    else:
-        engine.last_fast_reason = reason if reason is not None else "ok"
-    return stats, agg
+class _DriveQueue:
+    """One drive's persistent queue-loop state: its scheduler, the routed
+    rows buffered but not yet admitted, and the closed-loop admission
+    flags."""
+
+    __slots__ = ("sched", "ops", "lbns", "counts", "times", "filling", "owed")
+
+    def __init__(self, sched) -> None:
+        self.sched = sched
+        self.ops: list = []
+        self.lbns: list = []
+        self.counts: list = []
+        self.times: list = []
+        self.filling = True
+        self.owed = False
+
+    def extend(self, ops, lbns, counts, times) -> None:
+        self.ops.extend(ops)
+        self.lbns.extend(lbns)
+        self.counts.extend(counts)
+        self.times.extend(times)
+
+    def consume(self, i: int) -> None:
+        """Drop the first ``i`` buffered rows (admitted)."""
+        del self.ops[:i], self.lbns[:i], self.counts[:i], self.times[:i]
 
 
-def _stream_open_fcfs(
-    engine: "TraceReplayEngine", stream: TraceStream, reset: bool
+class _Oracle:
+    """The exact scalar oracle: serves every chunk the kernel does not.
+
+    One :meth:`~repro.disksim.drive.DiskDrive.submit` per routed request,
+    each completed request folded straight into the aggregator, in the
+    replay's discipline:
+
+    * **open FCFS** -- each request is submitted at its arrival;
+    * **closed FCFS, depth 1** (onereq) -- each request is submitted when
+      the previous one on its drive completes, plus ``think_ms``, on the
+      per-shard clock ``now`` that kernel chunks carry too;
+    * **open scheduled** -- requests are admitted to a persistent per-drive
+      queue at their timestamps, and the policy picks each dispatch when
+      the mechanism frees up (or at the next arrival, when idle);
+    * **closed scheduled** -- each drive keeps ``queue_depth`` requests
+      outstanding: the first are admitted at time zero, every completion
+      admits the next one (plus ``think_ms``).
+
+    The scheduled loops attach a clone of the engine's scheduler to every
+    drive when the oracle first serves a chunk, keep it across chunks and
+    detach it in :meth:`detach`.  A decision a later chunk could change
+    waits for that chunk: an open dispatch decided at or past the last
+    buffered timestamp (a later request may arrive by then), and a closed
+    dispatch while an admission is owed to a row not yet buffered.
+    Recomputed once the next chunk is buffered, the decision time is the
+    same (neither the queue nor the buffer head moved), so admissions and
+    dispatch order match an unchunked replay.  :meth:`drain` finishes the
+    queues when the stream ends.
+    """
+
+    def __init__(
+        self,
+        engine: "TraceReplayEngine",
+        mode: str,
+        think_ms: float,
+        scheduled: bool,
+        agg: _StreamAggregator,
+        now: list[float],
+    ) -> None:
+        self.engine = engine
+        self.drives = engine.fleet.drives
+        self.open = mode == "open"
+        self.think_ms = think_ms
+        self.scheduled = scheduled
+        self.agg = agg
+        self.now = now
+        self.queues: list[_DriveQueue] | None = None
+
+    def serve(self, chunk: "Trace") -> None:
+        routed = zip(self.drives, *self.engine._route(chunk))
+        add = self.agg.add_completed
+        if self.scheduled:
+            if self.queues is None:
+                self.queues = [
+                    _DriveQueue(self.engine.scheduler.clone()) for _ in self.drives
+                ]
+                for drive, queue in zip(self.drives, self.queues):
+                    drive.attach_scheduler(queue.sched)
+            for s, (drive, *columns) in enumerate(routed):
+                queue = self.queues[s]
+                queue.extend(*columns)
+                self._dispatch(s, drive, queue, chunk.issue_ms[-1])
+        elif self.open:
+            for s, (drive, ops, lbns, counts, times) in enumerate(routed):
+                submit = drive.submit
+                for op, lbn, count, t in zip(ops, lbns, counts, times):
+                    add(s, submit(DiskRequest(op, lbn, count), t))
+        else:
+            think_ms = self.think_ms
+            now = self.now
+            for s, (drive, ops, lbns, counts, _times) in enumerate(routed):
+                submit = drive.submit
+                t = now[s]
+                for op, lbn, count in zip(ops, lbns, counts):
+                    done = submit(DiskRequest(op, lbn, count), t)
+                    add(s, done)
+                    t = done.completion + think_ms
+                now[s] = t
+
+    def drain(self) -> int:
+        """Finish the persistent queues at the end of the stream; returns
+        their forced-dispatch count."""
+        if self.queues is None:
+            return 0
+        for s, (drive, queue) in enumerate(zip(self.drives, self.queues)):
+            self._dispatch(s, drive, queue, None)
+        return sum(queue.sched.forced_dispatches for queue in self.queues)
+
+    def detach(self) -> None:
+        if self.queues is not None:
+            for drive in self.drives:
+                drive.attach_scheduler(None)
+
+    def _dispatch(
+        self, s: int, drive, queue: _DriveQueue, last_ts: float | None
+    ) -> None:
+        """Run drive ``s``'s queue loop as far as its buffered rows decide
+        it.  ``last_ts`` is the last buffered timestamp, or None once the
+        stream has ended: then the loop drains the queue."""
+        final = last_ts is None
+        sched = queue.sched
+        ops, lbns, counts, times = queue.ops, queue.lbns, queue.counts, queue.times
+        n = len(ops)
+        i = 0
+        add = self.agg.add_completed
+        enqueue = drive.enqueue
+        if self.open:
+            horizon = math.inf if final else last_ts
+            while i < n or len(sched):
+                if len(sched):
+                    now = drive.actuator_free
+                else:
+                    now = times[i]
+                    if drive.actuator_free > now:
+                        now = drive.actuator_free
+                if now >= horizon:
+                    break  # a later chunk may hold a request arriving by now
+                while i < n and times[i] <= now:
+                    enqueue(DiskRequest(ops[i], lbns[i], counts[i]), times[i])
+                    i += 1
+                add(s, drive.dispatch_next(now))
+            queue.consume(i)
+            return
+
+        depth = self.engine.queue_depth
+        think_ms = self.think_ms
+        now = self.now
+        if queue.filling:
+            while i < n and len(sched) < depth:
+                enqueue(DiskRequest(ops[i], lbns[i], counts[i]), now[s])
+                i += 1
+            if len(sched) < depth and not final:
+                queue.consume(i)  # the fill may complete with later rows
+                return
+            queue.filling = False
+        if queue.owed:
+            if i < n:
+                enqueue(DiskRequest(ops[i], lbns[i], counts[i]), now[s])
+                i += 1
+            elif not final:
+                return  # the owed row is still in a later chunk
+            queue.owed = False
+        while len(sched):
+            decision = drive.actuator_free
+            if now[s] > decision:
+                decision = now[s]
+            done = drive.dispatch_next(decision)
+            add(s, done)
+            now[s] = done.completion + think_ms
+            if i < n:
+                enqueue(DiskRequest(ops[i], lbns[i], counts[i]), now[s])
+                i += 1
+            elif not final:
+                # The admission owed here lives in a later chunk; perform
+                # it before the next dispatch.
+                queue.owed = True
+                break
+        queue.consume(i)
+
+
+def _replay(
+    engine: "TraceReplayEngine",
+    stream: TraceStream,
+    mode: str,
+    think_ms: float,
+    reset: bool,
+    one_shot: bool,
 ):
-    """Open FCFS streaming: per-chunk kernel service with fold carry,
-    per-chunk scalar ``submit`` fallback (bitwise-safe mixing)."""
+    """Replay ``stream`` in ``mode`` on ``engine``'s fleet; returns
+    ``(stats, aggregator)``.
+
+    The one chunk loop behind every replay.  Each chunk runs on the kernel
+    (:func:`repro.sim.kernel._service_shard`, per shard) when the
+    replay-wide :func:`_kernel_gate` and the chunk's
+    :func:`~repro.sim.kernel.eligible_shard_columns` allow it, and
+    otherwise on the exact scalar :class:`_Oracle`.  Both leave identical
+    drive state and continue the same folds, so the paths mix chunk by
+    chunk.  The next chunk is pulled only after the current one is
+    served.  A scheduled replay runs on the kernel only ``one_shot`` (one
+    chunk), since the kernel cannot carry its pending queue across chunks.
+    Sets the engine's ``last_replay_path``/``last_fast_reason``.
+    """
     from ..disksim.sched import FCFSScheduler
     from .kernel import _service_shard, count_routing, eligible_shard_columns
 
     fleet = engine.fleet
     if reset:
         fleet.reset()
-    np, first_refusal = _kernel_gate(engine)
-    agg = _StreamAggregator(fleet, "open")
-    # The scalar chunks serve arrival order whatever the engine's scheduler
-    # (an FCFS subclass included); a plain FCFS scheduler gives the kernel
-    # chunks that same order.
-    fcfs = FCFSScheduler()
-    kernel_chunks = scalar_chunks = 0
-    for chunk in _counted(agg, stream):
-        shard_cols = None
-        if np is not None:
-            shard_cols, split, reason = eligible_shard_columns(np, fleet, chunk)
-            if shard_cols is None and first_refusal is None:
-                first_refusal = reason
-        if shard_cols is not None:
-            kernel_chunks += 1
-            count_routing(fleet, shard_cols, split)
-            for shard, ((s_lbns, s_counts, s_issue, s_read), drive) in enumerate(
-                zip(shard_cols, fleet.drives)
-            ):
-                if not int(s_lbns.shape[0]):
-                    continue
-                out, _forced, _now = _service_shard(
-                    np, drive, fcfs, s_lbns, s_counts, s_issue, s_read,
-                    "open", 1, 0.0, agg.shards[shard],
-                )
-                agg.add_kernel(shard, out)
-            continue
-        scalar_chunks += 1
-        shard_ops, shard_lbns, shard_counts, shard_times = engine._route_open(
-            chunk
-        )
-        for shard, drive in enumerate(fleet.drives):
-            result = BatchResult()
-            for op, lbn, count, t in zip(
-                shard_ops[shard], shard_lbns[shard], shard_counts[shard],
-                shard_times[shard],
-            ):
-                result.append_completed(drive.submit(DiskRequest(op, lbn, count), t))
-            agg.add_scalar(shard, result)
-    return _finish(
-        engine, agg, kernel_chunks, scalar_chunks, "kernel", first_refusal
-    )
-
-
-def _stream_closed_fcfs(
-    engine: "TraceReplayEngine",
-    stream: TraceStream,
-    think_ms: float,
-    reset: bool,
-):
-    """Closed FCFS depth-1 (onereq) streaming with a carried per-shard
-    clock; kernel chunks via the kernel's pending-queue dispatch, scalar
-    chunks via the exact per-shard sequential loop.  Shards share no state
-    (each drive has its own fault RNG and spare), so serving them one after
-    another gives the same per-shard results as any fleet-wide
-    interleaving."""
-    from .kernel import _service_shard, count_routing, eligible_shard_columns
-
-    fleet = engine.fleet
-    if reset:
-        fleet.reset()
-    np, first_refusal = _kernel_gate(engine)
-    agg = _StreamAggregator(fleet, "closed")
+    scheduled = _scheduled(engine, mode)
+    np, refusal = _kernel_gate(engine, scheduled, one_shot)
+    agg = _StreamAggregator(fleet, mode)
     now = [0.0] * len(fleet.drives)
-    kernel_chunks = scalar_chunks = 0
-    for chunk in _counted(agg, stream):
-        shard_cols = None
-        if np is not None:
-            shard_cols, split, reason = eligible_shard_columns(np, fleet, chunk)
-            if shard_cols is None and first_refusal is None:
-                first_refusal = reason
-        if shard_cols is not None:
+    oracle = _Oracle(engine, mode, think_ms, scheduled, agg, now)
+    # An FCFS replay serves arrival order whatever the engine's scheduler
+    # (an FCFS subclass included), as the oracle does; a plain FCFS
+    # scheduler gives the kernel that order.
+    policy = engine.scheduler if scheduled else FCFSScheduler()
+    kernel_chunks = scalar_chunks = forced = 0
+    try:
+        for chunk in _counted(agg, stream):
+            shard_cols = None
+            if np is not None:
+                shard_cols, split, reason = eligible_shard_columns(np, fleet, chunk)
+                if refusal is None:
+                    refusal = reason
+            if shard_cols is None:
+                scalar_chunks += 1
+                oracle.serve(chunk)
+                continue
             kernel_chunks += 1
             count_routing(fleet, shard_cols, split)
-            for shard, ((s_lbns, s_counts, s_issue, s_read), drive) in enumerate(
-                zip(shard_cols, fleet.drives)
-            ):
-                if not int(s_lbns.shape[0]):
+            for s, (columns, drive) in enumerate(zip(shard_cols, fleet.drives)):
+                if not int(columns[0].shape[0]):
                     continue
-                sched = engine.scheduler.clone()
+                sched = policy.clone()
                 sched.kernel_reset()
-                out, _forced, now[shard] = _service_shard(
-                    np, drive, sched, s_lbns, s_counts, s_issue, s_read,
-                    "closed", 1, think_ms, agg.shards[shard], now[shard],
+                out, shard_forced, now[s] = _service_shard(
+                    np, drive, sched, *columns, mode, engine.queue_depth,
+                    think_ms, agg.shards[s], now[s],
                 )
-                agg.add_kernel(shard, out)
-            continue
-        scalar_chunks += 1
-        queues = engine._route_closed(chunk)
-        for shard, drive in enumerate(fleet.drives):
-            queue = queues[shard]
-            if not queue:
-                continue
-            result = BatchResult()
-            t = now[shard]
-            for op, lbn, count in queue:
-                done = drive.submit(DiskRequest(op, lbn, count), t)
-                result.append_completed(done)
-                t = done.completion + think_ms
-            now[shard] = t
-            agg.add_scalar(shard, result)
-    return _finish(
-        engine, agg, kernel_chunks, scalar_chunks, "kernel_sched", first_refusal
-    )
-
-
-#: Refusal reason reported when a scheduled (non-FCFS or deep-queue)
-#: replay streams through the exact scalar queue loops: the scheduled
-#: kernel's pending-queue state cannot be carried across chunk columns.
-SCHED_STREAM_REASON = "scheduler not chunk-vectorizable"
-
-
-def _stream_open_scheduled(
-    engine: "TraceReplayEngine", stream: TraceStream, reset: bool
-):
-    """Open scheduled streaming: exact scalar queue loops with persistent
-    per-drive schedulers and one-chunk lookahead.
-
-    Requests are *admitted* at their trace timestamps but *dispatched* by
-    the scheduler: whenever a drive's mechanism is ready for its next
-    access, every request that has arrived by that instant is a candidate
-    and the policy picks one.  Streaming defers any decision at or beyond
-    the next chunk's first timestamp (``horizon``) until that chunk has
-    been buffered: recomputing the decision time after appending rows
-    provably yields the same value (the pending queue and the buffer head
-    are unchanged), so admission sets -- and therefore dispatch order --
-    match a one-chunk replay of the whole trace exactly."""
-    fleet = engine.fleet
-    if reset:
-        fleet.reset()
-    agg = _StreamAggregator(fleet, "open")
-    n_shards = len(fleet.drives)
-    scheds = [engine.scheduler.clone() for _ in range(n_shards)]
-    buf_ops: list[list] = [[] for _ in range(n_shards)]
-    buf_lbns: list[list] = [[] for _ in range(n_shards)]
-    buf_counts: list[list] = [[] for _ in range(n_shards)]
-    buf_times: list[list] = [[] for _ in range(n_shards)]
-    for drive, sched in zip(fleet.drives, scheds):
-        drive.attach_scheduler(sched)
-    try:
-        chunks = _counted(agg, stream)
-        current = next(chunks, None)
-        while current is not None:
-            nxt = next(chunks, None)
-            final = nxt is None
-            horizon = float("inf") if final else nxt.issue_ms[0]
-            shard_ops, shard_lbns, shard_counts, shard_times = (
-                engine._route_open(current)
-            )
-            for s in range(n_shards):
-                buf_ops[s].extend(shard_ops[s])
-                buf_lbns[s].extend(shard_lbns[s])
-                buf_counts[s].extend(shard_counts[s])
-                buf_times[s].extend(shard_times[s])
-            for s, drive in enumerate(fleet.drives):
-                sched = scheds[s]
-                ops = buf_ops[s]
-                lbns = buf_lbns[s]
-                counts = buf_counts[s]
-                times = buf_times[s]
-                n = len(ops)
-                i = 0
-                result = BatchResult()
-                enqueue = drive.enqueue
-                while i < n or len(sched):
-                    if len(sched) == 0:
-                        if i >= n:
-                            break  # wait for later chunks
-                        now = times[i]
-                        if drive.actuator_free > now:
-                            now = drive.actuator_free
-                    else:
-                        now = drive.actuator_free
-                    if not final and now >= horizon:
-                        # A later chunk may hold a request that arrives by
-                        # ``now``; defer this dispatch until it is buffered.
-                        break
-                    while i < n and times[i] <= now:
-                        enqueue(DiskRequest(ops[i], lbns[i], counts[i]), times[i])
-                        i += 1
-                    done = drive.dispatch_next(now)
-                    result.append_completed(done)
-                if i:
-                    del ops[:i], lbns[:i], counts[:i], times[:i]
-                agg.add_scalar(s, result)
-            current = nxt
-        forced = sum(sched.forced_dispatches for sched in scheds)
+                agg.add_kernel(s, out)
+                forced += shard_forced
+        forced += oracle.drain()
     finally:
-        for drive in fleet.drives:
-            drive.attach_scheduler(None)
-    engine.last_replay_path = "scalar"
-    engine.last_fast_reason = (
-        "fast disabled"
-        if engine.fast is not None and not engine.fast
-        else SCHED_STREAM_REASON
-    )
+        oracle.detach()
     stats = agg.finalize()
-    stats.extras["forced_dispatches"] = float(forced)
+    if not kernel_chunks:
+        engine.last_replay_path = "scalar"
+        engine.last_fast_reason = refusal
+    else:
+        if scalar_chunks:
+            engine.last_replay_path = "mixed"
+        elif mode == "open" and not scheduled:
+            engine.last_replay_path = "kernel"
+        else:
+            engine.last_replay_path = "kernel_sched"
+        engine.last_fast_reason = "ok"
+    if scheduled:
+        stats.extras["forced_dispatches"] = float(forced)
     return stats, agg
-
-
-def _stream_closed_scheduled(
-    engine: "TraceReplayEngine",
-    stream: TraceStream,
-    think_ms: float,
-    reset: bool,
-):
-    """Closed scheduled streaming (non-FCFS policy or depth > 1): exact
-    scalar queue loops with persistent per-drive schedulers.
-
-    Each drive keeps up to ``queue_depth`` requests outstanding: the first
-    ``queue_depth`` are admitted at time zero and every completion admits
-    the next one (plus ``think_ms``), so dispatch and admission alternate
-    strictly after the initial depth-filling phase.  At a chunk boundary
-    the loop breaks *before* the next dispatch whenever an admission is
-    owed but the row lives in a later chunk, so the pending queue always
-    holds exactly what a one-chunk replay of the whole trace would hold."""
-    fleet = engine.fleet
-    if reset:
-        fleet.reset()
-    agg = _StreamAggregator(fleet, "closed")
-    n_shards = len(fleet.drives)
-    depth = engine.queue_depth
-    scheds = [engine.scheduler.clone() for _ in range(n_shards)]
-    buffers: list[list[tuple[str, int, int]]] = [[] for _ in range(n_shards)]
-    now = [0.0] * n_shards
-    filling = [True] * n_shards
-    owed = [False] * n_shards
-    for drive, sched in zip(fleet.drives, scheds):
-        drive.attach_scheduler(sched)
-    try:
-        chunks = _counted(agg, stream)
-        current = next(chunks, None)
-        while current is not None:
-            nxt = next(chunks, None)
-            final = nxt is None
-            queues = engine._route_closed(current)
-            for s in range(n_shards):
-                buffers[s].extend(queues[s])
-            for s, drive in enumerate(fleet.drives):
-                sched = scheds[s]
-                rows = buffers[s]
-                i = 0
-                n = len(rows)
-                enqueue = drive.enqueue
-                result = BatchResult()
-                if filling[s]:
-                    while i < n and len(sched) < depth:
-                        op, lbn, count = rows[i]
-                        enqueue(DiskRequest(op, lbn, count), now[s])
-                        i += 1
-                    if len(sched) < depth and not final:
-                        # The fill may complete with later chunks' rows.
-                        del rows[:i]
-                        continue
-                    filling[s] = False
-                if owed[s]:
-                    if i < n:
-                        op, lbn, count = rows[i]
-                        enqueue(DiskRequest(op, lbn, count), now[s])
-                        i += 1
-                        owed[s] = False
-                    elif not final:
-                        # The owed row is still in a later chunk; no
-                        # dispatch may happen before it is admitted.
-                        continue
-                    else:
-                        owed[s] = False  # stream over: drain what is queued
-                while len(sched):
-                    decision = drive.actuator_free
-                    if now[s] > decision:
-                        decision = now[s]
-                    done = drive.dispatch_next(decision)
-                    result.append_completed(done)
-                    now[s] = done.completion + think_ms
-                    if i < n:
-                        op, lbn, count = rows[i]
-                        enqueue(DiskRequest(op, lbn, count), now[s])
-                        i += 1
-                    elif not final:
-                        # The admission owed here lives in a later chunk;
-                        # perform it before the next dispatch.
-                        owed[s] = True
-                        break
-                del rows[:i]
-                agg.add_scalar(s, result)
-            current = nxt
-        forced = sum(sched.forced_dispatches for sched in scheds)
-    finally:
-        for drive in fleet.drives:
-            drive.attach_scheduler(None)
-    engine.last_replay_path = "scalar"
-    engine.last_fast_reason = (
-        "fast disabled"
-        if engine.fast is not None and not engine.fast
-        else SCHED_STREAM_REASON
-    )
-    stats = agg.finalize()
-    stats.extras["forced_dispatches"] = float(forced)
-    return stats, agg
-
-
-def _scheduled(engine: "TraceReplayEngine", mode: str) -> bool:
-    """Whether ``engine`` replays ``mode`` through the pending-queue loops
-    (a non-FCFS policy, or a closed queue deeper than one)."""
-    return engine.scheduler_name != "fcfs" or (
-        mode == "closed" and engine.queue_depth > 1
-    )
-
-
-def _drive(
-    engine: "TraceReplayEngine",
-    stream: TraceStream,
-    mode: str,
-    think_ms: float,
-    reset: bool,
-):
-    """Run ``stream`` through the driver for ``engine``'s discipline;
-    returns ``(stats, aggregator)``."""
-    if mode == "open":
-        if _scheduled(engine, mode):
-            return _stream_open_scheduled(engine, stream, reset)
-        return _stream_open_fcfs(engine, stream, reset)
-    if _scheduled(engine, mode):
-        return _stream_closed_scheduled(engine, stream, think_ms, reset)
-    return _stream_closed_fcfs(engine, stream, think_ms, reset)
 
 
 def replay_once(
@@ -889,43 +805,14 @@ def replay_once(
 ) -> "ReplayStats":
     """One-shot replay (see :meth:`TraceReplayEngine.replay` and
     :meth:`TraceReplayEngine.replay_closed`): ``trace`` as a one-chunk
-    stream.
-
-    A NaN or negative timestamp raises :class:`ConfigError`.  A scheduled
-    replay first tries the kernel on the whole trace
-    (:func:`repro.sim.kernel.replay_kernel_sched`); on refusal its one
-    chunk runs through the exact scalar queue loop, and the kernel's
-    refusal reason is reported.
-    """
+    stream.  A NaN or negative timestamp raises :class:`ConfigError`."""
     # Check the timestamps before sorting, so an error names the index in
     # the caller's trace.
     list(TraceStream([trace], require_ordered=False))
     if mode == "open" and not trace.is_time_ordered():
         trace = trace.sorted_by_issue()
     stream = TraceStream([trace], validate=False)
-    if not _scheduled(engine, mode):
-        stats, _agg = _drive(engine, stream, mode, think_ms, reset)
-        return stats
-    if engine.fast is not None and not engine.fast:
-        reason = "fast disabled"
-    else:
-        from .kernel import replay_kernel_sched
-
-        stats, reason = replay_kernel_sched(
-            engine.fleet,
-            trace,
-            engine.scheduler,
-            mode=mode,
-            queue_depth=engine.queue_depth,
-            think_ms=think_ms,
-            reset=reset,
-        )
-        if stats is not None:
-            engine.last_replay_path = "kernel_sched"
-            engine.last_fast_reason = "ok"
-            return stats
-    stats, _agg = _drive(engine, stream, mode, think_ms, reset)
-    engine.last_fast_reason = reason
+    stats, _agg = _replay(engine, stream, mode, think_ms, reset, one_shot=True)
     return stats
 
 
@@ -934,7 +821,7 @@ def replay_stream(
 ) -> "ReplayStats":
     """Open streaming replay (see :meth:`TraceReplayEngine.replay_stream`)."""
     stream = _as_stream(chunks, require_ordered=True)
-    stats, _agg = _drive(engine, stream, "open", 0.0, reset)
+    stats, _agg = _replay(engine, stream, "open", 0.0, reset, one_shot=False)
     return stats
 
 
@@ -947,7 +834,7 @@ def replay_closed_stream(
     """Closed streaming replay (see
     :meth:`TraceReplayEngine.replay_closed_stream`)."""
     stream = _as_stream(chunks, require_ordered=False)
-    stats, _agg = _drive(engine, stream, "closed", think_ms, reset)
+    stats, _agg = _replay(engine, stream, "closed", think_ms, reset, one_shot=False)
     return stats
 
 
@@ -1071,7 +958,7 @@ def run_service(
     if queue_samples <= 0:
         raise ConfigError("queue_samples must be positive")
     stream = _as_stream(chunks, require_ordered=True)
-    stats, agg = _drive(engine, stream, "open", 0.0, reset)
+    stats, agg = _replay(engine, stream, "open", 0.0, reset, one_shot=False)
     fleet = engine.fleet
 
     # ---- SLO violations ------------------------------------------------ #

@@ -193,15 +193,14 @@ class Trace:
         return trace
 
     def aligned_fraction(self, geometry: "DiskGeometry") -> float:
-        """Fraction of requests that exactly cover one whole track (uses the
-        vectorized translation cache)."""
+        """Fraction of requests that exactly cover one whole track: each
+        starts on its track's first LBN and spans the track's LBNs."""
         if not self.lbns:
             return 0.0
-        tracks, _, _, sectors = geometry.translate_batch(self.lbns)
         aligned = 0
-        for track, sector, count in zip(tracks, sectors, self.counts):
-            first, tcount = geometry.track_bounds(track)
-            if sector == 0 and count == tcount:
+        for lbn, count in zip(self.lbns, self.counts):
+            first, track_count = geometry.track_bounds(geometry.track_of_lbn(lbn))
+            if lbn == first and count == track_count:
                 aligned += 1
         return aligned / len(self.lbns)
 

@@ -27,7 +27,7 @@ from repro.disksim import DiskDrive, DiskGeometry, small_test_specs
 from repro.disksim.cache import FirmwareCache
 from repro.disksim.sched import make_scheduler
 from repro.sim import LbnRangeShard, Trace, TraceReplayEngine
-from repro.sim.kernel import replay_kernel_sched
+from repro.sim.kernel import eligible_shard_columns
 
 SMALL = dict(cylinders_per_zone=12, num_zones=3)
 
@@ -348,16 +348,23 @@ def test_out_of_order_bus_refuses_fast_path():
     assert engine.last_fast_reason == "out-of-order bus"
 
 
-def test_replay_kernel_sched_reports_reason_without_mutating_fleet():
+def test_kernel_refusal_reports_reason_without_mutating_fleet():
+    import numpy as np
+
     drive = caching_drive()
     fleet = LbnRangeShard([drive])
     first, count = drive.geometry.track_bounds(0)
     trace = Trace.from_records([(0.0, first, count, "read")] * 5)
-    stats, reason = replay_kernel_sched(fleet, trace, make_scheduler("sptf"))
-    assert stats is None
+    shard_cols, split, reason = eligible_shard_columns(np, fleet, trace)
+    assert shard_cols is None
     assert reason == "firmware-cache-sensitive reuse"
     assert drive.stats.requests == 0  # eligibility never touches the fleet
     assert fleet.routed_requests == 0
+    engine = TraceReplayEngine(fleet, scheduler=make_scheduler("sptf"))
+    engine.replay(trace)
+    assert (engine.last_replay_path, engine.last_fast_reason) == (
+        "scalar", "firmware-cache-sensitive reuse"
+    )
 
 
 # --------------------------------------------------------------------------- #

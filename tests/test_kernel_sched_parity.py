@@ -1,6 +1,7 @@
 """Event-batched scheduled kernel vs the scalar queue loop: bitwise parity.
 
-The scheduled kernel (``repro.sim.kernel.replay_kernel_sched``) scores
+The scheduled kernel (``repro.sim.kernel._service_shard`` dispatching from
+its pending queue, ``last_replay_path == "kernel_sched"``) scores
 candidates from precomputed per-request columns but must remain an *exact*
 re-implementation of the scalar queue loop: every test here replays the
 same trace twice -- ``fast=True`` (kernel) and ``fast=False`` (scalar) --

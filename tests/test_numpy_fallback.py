@@ -1,13 +1,12 @@
 """numpy-free degradation: a worker without numpy must fall back to the
 exact scalar paths after a *single* import attempt and a single warning.
 
-Before PR 4, :func:`repro.disksim.geometry._numpy` re-attempted the import
-on every batch -- a spawn worker in a numpy-less environment paid the
-failed-import cost per ``translate_batch`` call and stayed silent about
-it.  The import result is now cached at module level, so these tests
+:func:`repro.disksim.geometry._numpy` caches the import result at module
+level, so a spawn worker in a numpy-less environment pays the failed
+import once, and says so once, instead of on every call.  These tests
 monkeypatch numpy away, reset the cache, and assert exactly one attempt,
 exactly one :class:`RuntimeWarning`, and correct scalar results for both
-the translation path and the replay engine's kernel auto-selection.
+stream timestamp validation and the replay engine's kernel auto-selection.
 """
 
 from __future__ import annotations
@@ -19,7 +18,8 @@ import warnings
 import pytest
 
 from repro.disksim import DiskDrive, DiskGeometry, small_test_specs
-from repro.sim import Trace, TraceReplayEngine
+from repro.disksim.errors import ConfigError
+from repro.sim import Trace, TraceReplayEngine, TraceStream
 
 SMALL = dict(cylinders_per_zone=12, num_zones=3)
 
@@ -58,24 +58,23 @@ def no_numpy(monkeypatch):
     geometry_module._NUMPY_CACHE = geometry_module._NUMPY_UNRESOLVED
 
 
-def test_translate_batch_degrades_with_single_warning(no_numpy):
-    geometry = DiskGeometry(small_test_specs(**SMALL))
-    lbns = [0, 5, 700, geometry.total_lbns - 1]
+def chunks(times: list[float]) -> list[Trace]:
+    """One-row chunks at ``times``."""
+    return [Trace([t], [8 * k], [8], ["read"]) for k, t in enumerate(times)]
+
+
+def test_stream_validation_degrades_with_single_warning(no_numpy):
     with pytest.warns(RuntimeWarning, match="numpy is not installed"):
-        tracks, cylinders, surfaces, sectors = geometry.translate_batch(lbns)
-    for lbn, track, cylinder, surface, sector in zip(
-        lbns, tracks, cylinders, surfaces, sectors
-    ):
-        address = geometry.lbn_to_physical(lbn)
-        assert (cylinder, surface, sector) == (
-            address.cylinder, address.surface, address.sector
-        )
-        assert track == geometry.track_of_lbn(lbn)
-    # Further batches neither warn again nor re-attempt the import.
+        rows = list(TraceStream(chunks([0.0, 1.0, 1.0, 2.5])))
+    assert [row.issue_ms for row in rows] == [[0.0], [1.0], [1.0], [2.5]]
+    # Further streams neither warn again nor re-attempt the import, and the
+    # scalar checks still name the offending request.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        geometry.translate_batch(lbns)
-        geometry.translate_batch(lbns)
+        with pytest.raises(ConfigError, match=r"non-monotonic timestamp at request #2"):
+            list(TraceStream(chunks([0.0, 2.0, 1.0])))
+        with pytest.raises(ConfigError, match=r"negative timestamp -1.0 at request #1"):
+            list(TraceStream(chunks([0.0, -1.0])))
     assert len(no_numpy) == 1
 
 

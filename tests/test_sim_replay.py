@@ -9,7 +9,7 @@ import pytest
 
 from repro.analysis.stats import percentile, percentiles, summarize
 from repro.api import DriveConfig, ScenarioConfig, WorkloadConfig, run_scenario
-from repro.disksim import BatchResult, DiskDrive, DiskGeometry, DiskRequest, RequestError
+from repro.disksim import DiskDrive, DiskGeometry, DiskRequest, RequestError
 from repro.disksim.errors import ConfigError
 from repro.sim import LbnRangeShard, Trace, TraceReplayEngine, TraceRecordingDrive
 from repro.sim.stream import _StreamAggregator
@@ -90,13 +90,10 @@ def submit_loop(fleet: LbnRangeShard, trace: Trace):
     fleet.reset()
     agg = _StreamAggregator(fleet, "open")
     agg.trace_requests = len(trace)
-    results = [BatchResult() for _ in fleet.drives]
     for t, lbn, count, op in trace:
         for shard, local_lbn, piece in fleet.route(lbn, count):
             done = fleet.drives[shard].submit(DiskRequest(op, local_lbn, piece), t)
-            results[shard].append_completed(done)
-    for shard, result in enumerate(results):
-        agg.add_scalar(shard, result)
+            agg.add_completed(shard, done)
     return agg.finalize()
 
 
@@ -163,24 +160,6 @@ def test_replay_rejects_invalid_requests(small_specs, n_drives, fast, lbn, count
     trace = Trace([0.0, 1.0], [0, lbn], [8, count], ["read", op])
     with pytest.raises(RequestError):
         TraceReplayEngine(fleet, fast=fast).replay(trace)
-
-
-# --------------------------------------------------------------------------- #
-# Geometry translation cache
-# --------------------------------------------------------------------------- #
-def test_translate_batch_matches_scalar(clean_geometry, defective_geometry):
-    rng = random.Random(2)
-    for geometry in (clean_geometry, defective_geometry):
-        lbns = [rng.randrange(geometry.total_lbns) for _ in range(500)]
-        tracks, cylinders, surfaces, sectors = geometry.translate_batch(lbns)
-        for i, lbn in enumerate(lbns):
-            addr = geometry.lbn_to_physical(lbn)
-            assert tracks[i] == geometry.track_of_lbn(lbn)
-            assert (cylinders[i], surfaces[i], sectors[i]) == (
-                addr.cylinder,
-                addr.surface,
-                addr.sector,
-            )
 
 
 # --------------------------------------------------------------------------- #

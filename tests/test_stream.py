@@ -26,7 +26,7 @@ from repro.api import (
 )
 from repro.api.cli import main as cli_main
 from repro.disksim import DiskDrive, small_test_specs
-from repro.disksim.drive import BatchResult
+from repro.disksim.drive import CompletedRequest, DiskRequest
 from repro.disksim.errors import ConfigError, RequestError
 from repro.disksim.sched import FCFSScheduler
 from repro.faults import (
@@ -43,11 +43,9 @@ from repro.sim import (
     import_blktrace,
     iter_blktrace_chunks,
 )
-from repro.sim.kernel import replay_kernel_sched
 from repro.sim.stream import (
     SCHED_STREAM_REASON,
     _StreamAggregator,
-    _stream_open_scheduled,
     run_service,
 )
 from repro.workloads.arrivals import (
@@ -329,8 +327,11 @@ def test_kernel_splits_boundary_crossing_requests(
 
 
 class _QueuedFCFS(FCFSScheduler):
-    """FCFS with a (no-op) removal hook, which the kernel serves from its
-    pending queue through its mirror of ``Scheduler.pop``."""
+    """FCFS under its own name, with a (no-op) removal hook: a replay takes
+    the pending-queue paths, the scalar queue loop (``Scheduler.pop``) or,
+    one-shot, the kernel's mirror of it."""
+
+    name = "queued-fcfs"
 
     def _on_removed(self, entry) -> None:
         pass
@@ -370,11 +371,15 @@ def test_fcfs_starvation_bound_keeps_arrival_order(n_drives):
     engine = TraceReplayEngine(
         build_fleet(n_drives, caching=False), scheduler="fcfs", starvation_ms=bound
     )
-    queue_loop, _ = _stream_open_scheduled(engine, TraceStream([trace]), True)
-    queue_kernel, reason = replay_kernel_sched(
-        build_fleet(n_drives, caching=False), trace, _QueuedFCFS(starvation_ms=bound)
+    queue_loop = TraceReplayEngine(
+        build_fleet(n_drives, caching=False), fast=False,
+        scheduler=_QueuedFCFS(starvation_ms=bound),
+    ).replay(trace)
+    queued = TraceReplayEngine(
+        build_fleet(n_drives, caching=False), scheduler=_QueuedFCFS(starvation_ms=bound)
     )
-    assert reason is None
+    queue_kernel = queued.replay(trace)
+    assert (queued.last_replay_path, queued.last_fast_reason) == ("kernel_sched", "ok")
     assert queue_loop.peak_outstanding >= 0.9 * len(trace)
     assert queue_loop.response["p50"] > 10 * bound
     for stats in (queue_loop, queue_kernel):
@@ -417,13 +422,13 @@ def test_aggregator_fold_continues_across_chunks():
     def seek_fold(chunks) -> float:
         agg = _StreamAggregator(build_fleet(1), "open")
         for chunk in chunks:
-            zeros = [0.0] * len(chunk)
-            agg.add_scalar(0, BatchResult(
-                issue_times=zeros, mech_starts=zeros, seek_ms=chunk,
-                settle_ms=zeros, latency_ms=zeros, head_switch_ms=zeros,
-                transfer_ms=zeros, bus_ms=zeros, overlap_ms=zeros,
-                media_ends=zeros, completions=[1.0] * len(chunk),
-            ))
+            for seek in chunk:
+                agg.add_completed(0, CompletedRequest(
+                    DiskRequest.read(0, 1), issue_time=0.0, mech_start=0.0,
+                    seek_ms=seek, settle_ms=0.0, rotational_latency_ms=0.0,
+                    head_switch_ms=0.0, media_transfer_ms=0.0, bus_ms=0.0,
+                    bus_overlap_ms=0.0, media_end=0.0, completion=1.0,
+                ))
         return agg.shards[0].seek
 
     one_chunk = seek_fold([seeks])
