@@ -6,9 +6,12 @@ and reports, for every request, how the service time decomposes into seek,
 rotational latency, head-switch, media-transfer and bus-transfer components
 (the quantities Figures 6, 7 and 8 of the paper are built from).
 
-The drive does not own a clock; callers provide the issue time of every
-request (see :mod:`repro.disksim.queueing` for the onereq / tworeq /
-round-based drivers).  Two resources are tracked between requests:
+The drive owns no clock and no queue: callers provide the issue time of
+every request and decide the dispatch order (see
+:mod:`repro.disksim.queueing` for the onereq / tworeq / round-based
+drivers, and :mod:`repro.disksim.sched` for the queue policies the replay
+engine pops from).  :meth:`DiskDrive.submit` is the one way a request is
+served.  Two resources are tracked between requests:
 
 * the **actuator** (head assembly) -- only one mechanical access at a time;
   a request's seek may begin as soon as the previous request's *media*
@@ -170,9 +173,6 @@ class DiskDrive:
                 num_segments=specs.cache_segments, readahead_sectors=readahead
             )
         self.zero_latency = specs.zero_latency if zero_latency is None else zero_latency
-        #: Optional dispatch-time policy (see :mod:`repro.disksim.sched`).
-        #: ``None`` keeps the drive's classic immediate-service behaviour.
-        self.scheduler = None
         #: Optional fault-injection state (see :mod:`repro.faults`).
         #: ``None`` keeps the drive healthy and all fast paths eligible.
         self.faults = None
@@ -189,62 +189,21 @@ class DiskDrive:
         self.actuator_free = time
         self.bus_free = time
         self.cache.invalidate()
-        if self.scheduler is not None:
-            self.scheduler.clear()
         if self.faults is not None:
             self.faults.reset()
         self.stats = DriveStats()
 
-    # ------------------------------------------------------------------ #
-    # Scheduled (queued) request interface
-    # ------------------------------------------------------------------ #
-    def attach_scheduler(self, scheduler) -> None:
-        """Attach a dispatch-time policy (see :mod:`repro.disksim.sched`).
-
-        The scheduler is bound to this drive (its queue policies sort by
-        this drive's geometry and head position) and starts empty.
-        ``None`` detaches, restoring classic immediate service.
-        """
-        self.scheduler = scheduler
-        if scheduler is not None:
-            scheduler.bind(self)
-
     def attach_faults(self, state) -> None:
         """Attach fault-injection state (see :mod:`repro.faults`).
 
-        ``None`` detaches, restoring the healthy drive.  With faults
-        attached every request is serviced by :meth:`submit` (the columnar
-        kernel refuses with ``"fault injection active"``), so the seeded
-        fault RNG advances in deterministic service order.
+        ``None`` detaches, restoring the healthy drive.  :meth:`submit`
+        applies the attached schedule to every request it serves: fail-stop
+        before service, recovery and slowdown penalties after a cache miss.
+        The columnar kernel refuses with ``"fault injection active"``, so
+        every request goes through :meth:`submit` and the seeded fault RNG
+        advances in deterministic service order.
         """
         self.faults = state
-
-    @property
-    def pending(self) -> int:
-        """Number of requests waiting in the attached scheduler's queue."""
-        return len(self.scheduler) if self.scheduler is not None else 0
-
-    def enqueue(self, request: DiskRequest, issue_time: float) -> None:
-        """Admit a request to the pending queue without servicing it."""
-        if self.scheduler is None:
-            raise RequestError(
-                "no scheduler attached; call attach_scheduler() first"
-            )
-        self._validate(request)
-        self.scheduler.push(request, issue_time)
-
-    def dispatch_next(self, now: float) -> CompletedRequest | None:
-        """Let the scheduler pick one pending request and service it.
-
-        ``now`` is the dispatch-decision time: the policy sees the head
-        position and (for SPTF) rotation phase the mechanism will have when
-        it becomes free, and the starvation bound is evaluated against it.
-        Returns ``None`` when the queue is empty.
-        """
-        if self.scheduler is None or not len(self.scheduler):
-            return None
-        entry = self.scheduler.pop(now)
-        return self.submit(entry.request, entry.issue_time)
 
     # ------------------------------------------------------------------ #
     # Public request interface
@@ -252,67 +211,16 @@ class DiskDrive:
     def submit(self, request: DiskRequest, issue_time: float) -> CompletedRequest:
         """Service one request issued at ``issue_time``.
 
-        Requests must be submitted in issue-time order; the drive applies
-        its internal actuator/bus availability to model queueing.
-        """
-        if self.faults is not None:
-            return self._submit_faulted(request, issue_time)
-        self._validate(request)
-        mech_start = max(
-            issue_time + self.bus.command_overhead_ms, self.actuator_free
-        )
-        if request.op == READ:
-            completed = self._service_read(request, issue_time, mech_start)
-        else:
-            completed = self._service_write(request, issue_time, mech_start)
-        self._account(completed)
-        return completed
-
-    def _submit_faulted(
-        self, request: DiskRequest, issue_time: float
-    ) -> CompletedRequest:
-        """The scalar service path with the attached fault schedule applied.
-
-        Fail-stopped drives redirect to their spare or fail the request
-        after command decode (zero mechanism time).  Otherwise the request
-        is serviced normally, then recovery rotations (grown defects,
-        transient retries -- bounded by the retry budget) and slowdown
-        penalties shift ``media_end``/``completion`` and the actuator/bus
-        availability, exactly as firmware recovery holds the mechanism.
+        Requests must be submitted in dispatch order; the drive applies its
+        internal actuator/bus availability to model queueing.  With a fault
+        schedule attached, a fail-stopped drive redirects the request to its
+        spare or rejects it (:meth:`_fail_stop`), and a served request that
+        missed the cache pays the recovery penalties (:meth:`_recover`).
         """
         self._validate(request)
         faults = self.faults
-        fstats = faults.stats
-        if faults.failed_stop(issue_time):
-            if faults.spare is not None:
-                fstats.redirected_requests += 1
-                return faults.spare.submit(request, issue_time)
-            fstats.failed_requests += 1
-            rejected_at = issue_time + self.bus.command_overhead_ms
-            done = CompletedRequest(
-                request=request,
-                issue_time=issue_time,
-                mech_start=rejected_at,
-                seek_ms=0.0,
-                settle_ms=0.0,
-                rotational_latency_ms=0.0,
-                head_switch_ms=0.0,
-                media_transfer_ms=0.0,
-                bus_ms=0.0,
-                bus_overlap_ms=0.0,
-                media_end=rejected_at,
-                completion=rejected_at,
-                failed=True,
-            )
-            # The firmware rejects after command decode: the request is
-            # counted, but no sectors moved and the mechanism stayed idle.
-            self.stats.requests += 1
-            if request.op == READ:
-                self.stats.reads += 1
-            else:
-                self.stats.writes += 1
-            return done
-
+        if faults is not None and faults.failed_stop(issue_time):
+            return self._fail_stop(request, issue_time)
         mech_start = max(
             issue_time + self.bus.command_overhead_ms, self.actuator_free
         )
@@ -320,43 +228,8 @@ class DiskDrive:
             done = self._service_read(request, issue_time, mech_start)
         else:
             done = self._service_write(request, issue_time, mech_start)
-
-        failed = False
-        penalty = 0.0
-        if not done.cache_hit:
-            rotations = faults.grown_defect_rotations(
-                request.lbn, request.count, issue_time
-            )
-            retry_rotations, errored = faults.transient_rotations()
-            if errored:
-                fstats.transient_errors += 1
-            rotations += retry_rotations
-            if rotations > faults.retry_budget:
-                rotations = faults.retry_budget
-                failed = True
-                fstats.failed_requests += 1
-            if rotations:
-                fstats.retries += rotations
-                recovery = rotations * self.specs.rotation_ms
-                fstats.recovery_ms += recovery
-                penalty += recovery
-            factor = faults.slowdown_factor(done.mech_start)
-            if factor > 1.0:
-                slow = (done.seek_ms + done.settle_ms) * (factor - 1.0)
-                if slow > 0.0:
-                    fstats.slowdown_ms += slow
-                    penalty += slow
-        if penalty > 0.0:
-            media_end = done.media_end + penalty
-            completion = done.completion + penalty
-            self.actuator_free = max(self.actuator_free, media_end)
-            if request.op == READ:
-                self.bus_free = max(self.bus_free, completion)
-            done = replace(
-                done, media_end=media_end, completion=completion, failed=failed
-            )
-        elif failed:
-            done = replace(done, failed=True)
+        if faults is not None and not done.cache_hit:
+            done = self._recover(done)
         self._account(done)
         return done
 
@@ -365,6 +238,86 @@ class DiskDrive:
 
     def write(self, lbn: int, count: int, issue_time: float) -> CompletedRequest:
         return self.submit(DiskRequest.write(lbn, count), issue_time)
+
+    def _fail_stop(
+        self, request: DiskRequest, issue_time: float
+    ) -> CompletedRequest:
+        """Serve ``request`` on a fail-stopped drive: redirect it to the
+        spare, or fail it after command decode (zero mechanism time)."""
+        faults = self.faults
+        if faults.spare is not None:
+            faults.stats.redirected_requests += 1
+            return faults.spare.submit(request, issue_time)
+        faults.stats.failed_requests += 1
+        rejected_at = issue_time + self.bus.command_overhead_ms
+        # The firmware rejects after command decode: the request is
+        # counted, but no sectors moved and the mechanism stayed idle.
+        self.stats.requests += 1
+        if request.op == READ:
+            self.stats.reads += 1
+        else:
+            self.stats.writes += 1
+        return CompletedRequest(
+            request=request,
+            issue_time=issue_time,
+            mech_start=rejected_at,
+            seek_ms=0.0,
+            settle_ms=0.0,
+            rotational_latency_ms=0.0,
+            head_switch_ms=0.0,
+            media_transfer_ms=0.0,
+            bus_ms=0.0,
+            bus_overlap_ms=0.0,
+            media_end=rejected_at,
+            completion=rejected_at,
+            failed=True,
+        )
+
+    def _recover(self, done: CompletedRequest) -> CompletedRequest:
+        """Apply the attached fault schedule to a request served from the
+        media.  Recovery rotations (grown defects, transient retries --
+        bounded by the retry budget) and slowdown penalties shift
+        ``media_end``/``completion`` and the actuator/bus availability,
+        exactly as firmware recovery holds the mechanism."""
+        faults = self.faults
+        fstats = faults.stats
+        request = done.request
+        failed = False
+        penalty = 0.0
+        rotations = faults.grown_defect_rotations(
+            request.lbn, request.count, done.issue_time
+        )
+        retry_rotations, errored = faults.transient_rotations()
+        if errored:
+            fstats.transient_errors += 1
+        rotations += retry_rotations
+        if rotations > faults.retry_budget:
+            rotations = faults.retry_budget
+            failed = True
+            fstats.failed_requests += 1
+        if rotations:
+            fstats.retries += rotations
+            recovery = rotations * self.specs.rotation_ms
+            fstats.recovery_ms += recovery
+            penalty += recovery
+        factor = faults.slowdown_factor(done.mech_start)
+        if factor > 1.0:
+            slow = (done.seek_ms + done.settle_ms) * (factor - 1.0)
+            if slow > 0.0:
+                fstats.slowdown_ms += slow
+                penalty += slow
+        if penalty > 0.0:
+            media_end = done.media_end + penalty
+            completion = done.completion + penalty
+            self.actuator_free = max(self.actuator_free, media_end)
+            if request.op == READ:
+                self.bus_free = max(self.bus_free, completion)
+            return replace(
+                done, media_end=media_end, completion=completion, failed=failed
+            )
+        if failed:
+            return replace(done, failed=True)
+        return done
 
     # ------------------------------------------------------------------ #
     # Helpers

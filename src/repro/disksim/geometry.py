@@ -27,50 +27,12 @@ lose a revolution on every track switch.
 from __future__ import annotations
 
 import bisect
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .defects import Defect, DefectHandling, DefectList
 from .errors import AddressError, GeometryError
 from .specs import DiskSpecs, SpareScheme
-
-#: Sentinel meaning "the numpy import has not been attempted yet".
-_NUMPY_UNRESOLVED = object()
-
-#: Resolved numpy module, ``None`` (import failed), or the sentinel.
-#: Module-level so the import is attempted exactly once per process: a
-#: campaign worker without numpy degrades to the scalar path after a single
-#: warning instead of re-raising ImportError on every batch.
-_NUMPY_CACHE = _NUMPY_UNRESOLVED
-
-
-def _numpy():
-    """NumPy is optional and only accelerates the replay core (the columnar
-    kernel of :mod:`repro.sim.kernel`, and the timestamp checks and
-    statistics of :mod:`repro.sim.stream`); import lazily so
-    ``import repro.disksim`` stays cheap without it.
-
-    The result (module or ``None``) is cached for the life of the process.
-    When numpy is unavailable a single :class:`RuntimeWarning` is emitted
-    and every subsequent call returns ``None`` immediately.
-    """
-    global _NUMPY_CACHE
-    if _NUMPY_CACHE is _NUMPY_UNRESOLVED:
-        try:
-            import numpy
-        except ImportError:
-            warnings.warn(
-                "numpy is not installed; falling back to the exact scalar "
-                "translation/replay paths (install the 'fast' extra: "
-                "pip install -e .[fast])",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            _NUMPY_CACHE = None
-        else:
-            _NUMPY_CACHE = numpy
-    return _NUMPY_CACHE
 
 
 @dataclass(frozen=True)

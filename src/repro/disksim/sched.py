@@ -5,11 +5,12 @@ policy, so the natural follow-on question of the disksim/freeblock lineage
 -- how much of the traxtent advantage survives under position-aware
 scheduling? -- becomes one more campaign axis.
 
-A :class:`Scheduler` owns a pending queue of :class:`QueuedRequest` entries.
-The replay engine (or any other driver) ``push``-es requests as they arrive
-and ``pop``-s one whenever the drive is ready to start its next mechanical
-access; the policy decides *which* queued request goes next.  Five policies
-are registered:
+A :class:`Scheduler` owns a pending queue of :class:`QueuedRequest` entries;
+the drive itself holds none.  The replay engine (or any other driver) binds
+a scheduler to one drive, ``push``-es requests as they arrive, ``pop``-s one
+whenever the drive is ready to start its next mechanical access and serves
+it with :meth:`~repro.disksim.drive.DiskDrive.submit`; the policy decides
+*which* queued request goes next.  Five policies are registered:
 
 * ``fcfs``     -- arrival order (the pre-scheduler behaviour; the scalar
   oracle and the columnar kernel remain bitwise identical under it),
@@ -31,9 +32,9 @@ are registered:
 
 Scheduling composes with fault injection (:mod:`repro.faults`): dispatch
 order is decided here, and whatever the policy dispatches then pays the
-drive's fault model (retry rotations, slowdown windows, fail-stop) at
-service time -- scheduled fault-bearing replays run on the exact scalar
-path, never the vectorized kernel.
+drive's fault model (retry rotations, slowdown windows, fail-stop) in
+``DiskDrive.submit`` -- scheduled fault-bearing replays run on the exact
+scalar path, never the vectorized kernel.
 
 Every policy carries a configurable **starvation bound**: when the oldest
 queued request has waited longer than ``starvation_ms`` at a dispatch
@@ -184,8 +185,9 @@ class QueuedRequest:
     """One pending request plus the geometry facts the policies sort by.
 
     The physical annotations (track, cylinder, surface, rotational slot,
-    sectors-per-track, skew) are resolved once at enqueue time against the
-    bound drive's geometry, so ``pop`` decisions cost no geometry lookups.
+    sectors-per-track, skew) are resolved once at admission (``push``)
+    against the bound drive's geometry, so ``pop`` decisions cost no
+    geometry lookups.
     """
 
     __slots__ = (
@@ -233,9 +235,10 @@ class Scheduler:
     Subclasses implement ``_select(now)`` over :attr:`queue`; the base class
     owns admission (:meth:`push`), the starvation bound, forced-dispatch
     accounting and deterministic removal.  A scheduler must be bound to a
-    drive (:meth:`bind`, normally via
-    :meth:`repro.disksim.drive.DiskDrive.attach_scheduler`) before requests
-    are pushed, because the policies sort by physical position.
+    drive (:meth:`bind`; the replay engine binds one clone per drive)
+    before requests are pushed, because the policies sort by the drive's
+    physical position.  The caller serves each popped entry with
+    :meth:`~repro.disksim.drive.DiskDrive.submit`.
     """
 
     #: Registry key; subclasses override.
@@ -270,11 +273,16 @@ class Scheduler:
 
     # ------------------------------------------------------------------ #
     def push(self, request: DiskRequest, issue_time: float) -> None:
-        """Admit one request to the pending queue."""
+        """Admit one request to the pending queue.
+
+        A request past the bound drive's capacity raises the drive's
+        :class:`~repro.disksim.errors.RequestError` and is not admitted.
+        """
         if self.drive is None:
             raise SchedulerError(
                 f"scheduler {self.name!r} is not bound to a drive"
             )
+        self.drive._validate(request)
         entry = QueuedRequest(request, issue_time, self._seq)
         self._seq += 1
         entry.annotate(self.drive)

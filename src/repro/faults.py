@@ -420,7 +420,7 @@ class DriveFaultState:
         if self.spare is not None:
             self.spare.reset()
 
-    # -- per-request policy hooks (called by DiskDrive._submit_faulted) ---- #
+    # -- per-request policy hooks (called by DiskDrive.submit) ------------- #
 
     def failed_stop(self, issue_time: float) -> bool:
         """True when the drive has fail-stopped at ``issue_time``."""

@@ -138,11 +138,12 @@ class TraceReplayEngine:
     service order -- may produce numbers),
     ``"defective geometry"``,
     ``"out-of-order bus"``,
-    ``"unknown opcode"``, ``"invalid request"``,
-    ``"request exceeds fleet capacity"`` (the scalar path then raises
-    :class:`~repro.disksim.errors.RequestError` for the bad request),
     ``"firmware-cache-sensitive reuse"`` or
-    ``"scheduler not kernel-vectorizable"``.  Streaming replays
+    ``"scheduler not kernel-vectorizable"``.  A trace holding an invalid
+    request (unknown opcode, non-positive count, negative LBN, or past the
+    fleet's capacity) reports nothing: the replay raises
+    :class:`~repro.disksim.errors.RequestError` for that request.
+    Streaming replays
     (:meth:`replay_stream`/:meth:`replay_closed_stream`) may additionally
     report ``last_replay_path == "mixed"`` (kernel and scalar chunks in
     one stream) and the refusal

@@ -57,9 +57,10 @@ scalar one:
   hooks without matching kernel hooks:
   ``"scheduler not kernel-vectorizable"``.
 
-Requests that span multiple tracks are serviced through the drive's exact
-scalar code with state synced both ways, so unaligned traces still replay
-through the kernel.
+A request that spans multiple tracks is served by the drive's own
+:meth:`~repro.disksim.drive.DiskDrive.submit`, with drive state synced both
+ways: the synced ``actuator_free`` gives ``submit`` the kernel's own
+mechanical start, so unaligned traces still replay through the kernel.
 
 On caching-enabled drives the kernel performs the same
 ``record_read``/``record_write`` cache bookkeeping as the scalar path
@@ -71,11 +72,11 @@ them.
 """
 from __future__ import annotations
 
+import warnings
 import weakref
 from typing import TYPE_CHECKING
 
 from ..disksim.drive import READ, WRITE, DiskRequest
-from ..disksim.geometry import _numpy
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..disksim.drive import DiskDrive
@@ -84,6 +85,48 @@ if TYPE_CHECKING:  # pragma: no cover
     from .shard import LbnRangeShard
     from .stream import _ShardAgg
     from .trace import Trace
+
+# --------------------------------------------------------------------------- #
+# The numpy gate
+# --------------------------------------------------------------------------- #
+
+#: Sentinel meaning "the numpy import has not been attempted yet".
+_NUMPY_UNRESOLVED = object()
+
+#: Resolved numpy module, ``None`` (import failed), or the sentinel.
+#: Module-level so the import is attempted exactly once per process: a
+#: campaign worker without numpy degrades to the scalar path after a single
+#: warning instead of re-raising ImportError on every replay.
+_NUMPY_CACHE = _NUMPY_UNRESOLVED
+
+
+def _numpy():
+    """NumPy is optional and only accelerates the replay core (this
+    kernel, and the timestamp checks and statistics of
+    :mod:`repro.sim.stream`); import lazily so ``import repro`` stays cheap
+    without it.
+
+    The result (module or ``None``) is cached for the life of the process.
+    When numpy is unavailable a single :class:`RuntimeWarning` is emitted
+    and every subsequent call returns ``None`` immediately.
+    """
+    global _NUMPY_CACHE
+    if _NUMPY_CACHE is _NUMPY_UNRESOLVED:
+        try:
+            import numpy
+        except ImportError:
+            warnings.warn(
+                "numpy is not installed; falling back to the exact scalar "
+                "replay path (install the 'fast' extra: "
+                "pip install -e .[fast])",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            _NUMPY_CACHE = None
+        else:
+            _NUMPY_CACHE = numpy
+    return _NUMPY_CACHE
+
 
 # --------------------------------------------------------------------------- #
 # Cached per-configuration tables
@@ -247,8 +290,11 @@ def fleet_eligibility(fleet: "LbnRangeShard") -> "str | None":
 def trace_columns(np, fleet: "LbnRangeShard", ordered: "Trace"):
     """Validated numpy columns for a trace already in admission order.
 
-    Returns ``((lbns, counts, issue, is_read), None)`` on success or
-    ``(None, reason)`` with the kernel's refusal vocabulary.
+    Returns ``(lbns, counts, issue, is_read)``, or ``None`` when some row
+    has an unknown opcode, a non-positive count, a negative LBN or runs
+    past the fleet's capacity.  No refusal reason is given: the scalar
+    oracle that serves the chunk instead raises
+    :class:`~repro.disksim.errors.RequestError` for that row.
     """
     lbns = np.asarray(ordered.lbns, dtype=np.int64)
     counts = np.asarray(ordered.counts, dtype=np.int64)
@@ -259,14 +305,14 @@ def trace_columns(np, fleet: "LbnRangeShard", ordered: "Trace"):
         dtype=np.int8,
         count=n,
     )
-    if (op_codes == 2).any():
-        return None, "unknown opcode"
-    is_read = op_codes == 0
-    if counts.min() <= 0 or lbns.min() < 0:
-        return None, "invalid request"
-    if int((lbns + counts).max()) > fleet.total_lbns:
-        return None, "request exceeds fleet capacity"
-    return (lbns, counts, issue, is_read), None
+    if (
+        (op_codes == 2).any()
+        or counts.min() <= 0
+        or lbns.min() < 0
+        or int((lbns + counts).max()) > fleet.total_lbns
+    ):
+        return None
+    return lbns, counts, issue, op_codes == 0
 
 
 def shard_split(np, fleet: "LbnRangeShard", lbns, counts, issue, is_read):
@@ -312,18 +358,19 @@ def shard_split(np, fleet: "LbnRangeShard", lbns, counts, issue, is_read):
 def eligible_shard_columns(np, fleet: "LbnRangeShard", ordered: "Trace"):
     """Kernel-eligible per-shard columns of a trace in admission order.
 
-    Returns ``(shard_cols, split, None)`` as :func:`shard_split` does, or
-    ``(None, 0, reason)`` from :func:`trace_columns` or the cache gates:
-    every read must be a guaranteed miss, both against the other reads of
+    Returns ``(shard_cols, split, None)`` as :func:`shard_split` does,
+    ``(None, 0, None)`` when :func:`trace_columns` refuses the chunk, or
+    ``(None, 0, reason)`` from the cache gates: every read must be a
+    guaranteed miss, both against the other reads of
     its shard (:func:`_cache_sensitive`) and against what the drive's cache
     holds now (:func:`warm_cache_clean`; a replay that resets the fleet
     checks a pristine cache, which always passes).  Nothing here touches
     the fleet: the caller adds the routing counters
     (:func:`count_routing`) once it commits to the columns.
     """
-    columns, reason = trace_columns(np, fleet, ordered)
-    if reason is not None:
-        return None, 0, reason
+    columns = trace_columns(np, fleet, ordered)
+    if columns is None:
+        return None, 0, None
     shard_cols, split = shard_split(np, fleet, *columns)
     for (lbns, counts, _issue, is_read), drive in zip(shard_cols, fleet.drives):
         if _cache_sensitive(np, drive.cache, lbns, counts, is_read) or (
@@ -345,18 +392,6 @@ def count_routing(fleet: "LbnRangeShard", shard_cols, split: int) -> None:
 # Per-shard service: vectorized precompute + serial recurrence
 # --------------------------------------------------------------------------- #
 
-class _ShardOutcome:
-    """Issue and completion times of one shard's kernel replay, in service
-    order (the breakdown terms are folded by the kernel itself)."""
-
-    __slots__ = ("n", "issue", "completions")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.issue: list[float] = []
-        self.completions: list[float] = []
-
-
 def _service_shard(
     np,
     drive: "DiskDrive",
@@ -370,7 +405,7 @@ def _service_shard(
     think_ms: float,
     acc: "_ShardAgg",
     now_start: float = 0.0,
-) -> "tuple[_ShardOutcome, int, float]":
+) -> "tuple[int, float]":
     """Replay one shard-local stream: the kernel's serial recurrence.
 
     ``lbns``/``counts``/``issue``/``is_read`` are numpy columns in
@@ -397,13 +432,15 @@ def _service_shard(
     ``Scheduler.pop`` (starvation bound, forced-dispatch accounting, seq
     tie-breaking).
 
-    ``acc`` (the shard's ``_ShardAgg``) seeds the eight breakdown folds,
-    which are continued in service order and written back to it, so a
-    chunked replay continues one left fold across chunks.  Returns the
-    shard outcome, the scheduler's forced-dispatch count, and the final
-    closed-loop clock (``completion + think_ms`` of the last dispatch;
-    ``now_start`` echoed back in open mode or on an empty shard), which
-    the next chunk of a closed stream passes back as ``now_start``.
+    ``acc`` (the shard's ``_ShardAgg``) is the one fold target: the eight
+    breakdown folds are seeded from it, continued in service order and
+    written back, so a chunked replay continues one left fold across
+    chunks, and the issue and completion events (in service order) and the
+    request count are appended to it.  Returns the scheduler's
+    forced-dispatch count and the final closed-loop clock
+    (``completion + think_ms`` of the last dispatch; ``now_start`` echoed
+    back in open mode or on an empty shard), which the next chunk of a
+    closed stream passes back as ``now_start``.
     """
     from ..disksim.sched import (
         FCFSScheduler,
@@ -412,11 +449,9 @@ def _service_shard(
         kernel_oldest,
     )
 
-    out = _ShardOutcome()
     n = int(lbns.shape[0])
-    out.n = n
     if n == 0:
-        return out, 0, now_start
+        return 0, now_start
 
     geometry = drive.geometry
     specs = drive.specs
@@ -569,9 +604,7 @@ def _service_shard(
     forced = 0
 
     any_multi = bool(multi.any())
-    service_read = drive._service_read
-    service_write = drive._service_write
-    account = drive._account
+    submit = drive.submit
 
     # ---- the serial recurrence: admission + dispatch + service --------- #
     # One monolithic loop with every piece of live state in plain locals.
@@ -648,28 +681,21 @@ def _service_shard(
                 hs_ms = head_switch_cost
 
         # ---- service at the current head/bus state --------------------- #
-        mech_start = issue_cmd_l[idx]
-        if act_free > mech_start:
-            mech_start = act_free
-
         if any_multi and multi_l[idx]:
-            # Multi-track request: exact scalar fallback with state synced
-            # both ways.  The reuse gate guarantees its cache lookup misses.
+            # Multi-track request: the drive's own submit, with state synced
+            # both ways (the synced actuator_free gives it the mech_start
+            # the inline path would compute).  The reuse gate guarantees
+            # its cache lookup misses.
             drive.head_cylinder = ecyl_l[prev]
             drive.head_surface = esurf_l[prev]
             drive.actuator_free = act_free
             drive.bus_free = b_free
-            count = count_l[idx]
-            t_issue = issue_l[idx]
-            if is_read_l[idx]:
-                done = service_read(
-                    DiskRequest(READ, lbn_l[idx], count), t_issue, mech_start
-                )
-            else:
-                done = service_write(
-                    DiskRequest(WRITE, lbn_l[idx], count), t_issue, mech_start
-                )
-            account(done)
+            done = submit(
+                DiskRequest(
+                    READ if is_read_l[idx] else WRITE, lbn_l[idx], count_l[idx]
+                ),
+                issue_l[idx],
+            )
             act_free = drive.actuator_free
             b_free = drive.bus_free
             seek_ms = done.seek_ms
@@ -684,6 +710,9 @@ def _service_shard(
             completion = done.completion
         else:
             # ---------------- inlined single-track service -------------- #
+            mech_start = issue_cmd_l[idx]
+            if act_free > mech_start:
+                mech_start = act_free
             count = count_l[idx]
             settle = settle_l[idx]
             spt = spt_l[idx]
@@ -854,7 +883,7 @@ def _service_shard(
     stats.writes += int(np.count_nonzero(inline_writes))
     stats.sectors_read += int(counts[inline_reads].sum())
     stats.sectors_written += int(counts[inline_writes].sum())
-    # Fallback rows already credited their busy time through _account();
+    # Multi-track rows already credited their busy time through submit();
     # add the inline rows' share.  (The ReplayStats breakdown uses the
     # fold, which runs in service order and is therefore bitwise identical
     # to the scalar path; the drive's own cumulative counter does not
@@ -869,13 +898,14 @@ def _service_shard(
     acc.bus = bus_sum
     acc.overlap = overlap_sum
     acc.busy = busy_sum
+    acc.requests += n
     if arrival_order:
-        out.issue = issue_l
-        out.completions = completions
+        acc.issues.extend(issue_l)
+        acc.completions.extend(completions)
     else:
-        out.issue = [issue_l[k] for k in order]
-        out.completions = [completions[k] for k in order]
-    return out, forced, now
+        acc.issues.extend([issue_l[k] for k in order])
+        acc.completions.extend([completions[k] for k in order])
+    return forced, now
 
 
 __all__ = [

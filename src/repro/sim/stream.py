@@ -53,14 +53,19 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..disksim.drive import DiskRequest
 from ..disksim.errors import ConfigError, RequestError
-from ..disksim.geometry import _numpy
 from ..faults import fleet_fault_extras
+from .kernel import (
+    _numpy,
+    _service_shard,
+    count_routing,
+    eligible_shard_columns,
+    fleet_eligibility,
+)
 from .trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..disksim.drive import CompletedRequest
     from .engine import ReplayStats, TraceReplayEngine
-    from .kernel import _ShardOutcome
     from .shard import LbnRangeShard
 
 #: Default chunk size (requests) used by stream builders.
@@ -186,14 +191,16 @@ class TraceStream:
 class _ShardAgg:
     """Per-shard fold state: response events plus breakdown accumulators.
 
-    Only ``issues``/``completions`` grow with the stream (8 bytes per
-    request each); every per-request timing term is added to its running
-    sum as its request completes, one exact left fold over the shard's
-    requests in service order, whatever the chunking: the oracle's requests
-    through :meth:`_StreamAggregator.add_completed`, the kernel's with its
-    own ``+=``.  (The built-in ``sum`` of floats is compensated from Python
-    3.12 on, so it could neither continue a fold across chunks nor match
-    the kernel's ``+=``.)"""
+    The one place a served request is folded, whichever path served it:
+    the oracle's requests through :meth:`_StreamAggregator.add_completed`,
+    the kernel's by :func:`~repro.sim.kernel._service_shard` itself.  Only
+    ``issues``/``completions`` grow with the stream (8 bytes per request
+    each, in service order); every per-request timing term is added to its
+    running sum as its request completes, one exact left fold over the
+    shard's requests in service order, whatever the chunking.  (The
+    built-in ``sum`` of floats is compensated from Python 3.12 on, so it
+    could neither continue a fold across chunks nor match the kernel's
+    ``+=``.)"""
 
     __slots__ = (
         "issues", "completions", "requests", "seek", "settle", "latency",
@@ -218,10 +225,12 @@ class _StreamAggregator:
     """Accumulates chunk results into one bitwise-exact ``ReplayStats``.
 
     The only builder of :class:`~repro.sim.engine.ReplayStats`: one-shot
-    and streamed replays, kernel and scalar chunks all fold through it.
-    Every float statistic is a left fold in one fixed order (per-request
-    within a shard, shards in order), so the finalized stats do not depend
-    on the chunking or on which path served each chunk."""
+    and streamed replays, kernel and scalar chunks all fold into its
+    per-shard :class:`_ShardAgg` fold targets.  Every float statistic is a
+    left fold in one fixed order (per-request within a shard, shards in
+    order), and the span is read from the sorted event columns at
+    :meth:`finalize`, so the finalized stats do not depend on the chunking
+    or on which path served each chunk."""
 
     def __init__(self, fleet: "LbnRangeShard", mode: str) -> None:
         self.fleet = fleet
@@ -233,8 +242,6 @@ class _StreamAggregator:
         self.split_before = fleet.split_requests
         self.fault_before = fleet_fault_extras(fleet)
         self.trace_requests = 0
-        self.start_ms = float("inf")
-        self.end_ms = float("-inf")
 
     # ------------------------------------------------------------------ #
     def add_completed(self, shard: int, done: "CompletedRequest") -> None:
@@ -251,29 +258,6 @@ class _StreamAggregator:
         agg.bus += done.bus_ms
         agg.overlap += done.bus_overlap_ms
         agg.busy += done.media_busy_ms
-        if done.issue_time < self.start_ms:
-            self.start_ms = done.issue_time
-        if done.completion > self.end_ms:
-            self.end_ms = done.completion
-
-    def add_kernel(self, shard: int, out: "_ShardOutcome") -> None:
-        """Fold one chunk's kernel ``_ShardOutcome`` for ``shard``.
-
-        The kernel has already continued this shard's breakdown folds in
-        place (it was handed the shard's ``_ShardAgg``); only the response
-        events are added here."""
-        if not out.n:
-            return
-        agg = self.shards[shard]
-        agg.issues.extend(out.issue)
-        agg.completions.extend(out.completions)
-        agg.requests += out.n
-        start = min(out.issue)
-        end = max(out.completions)
-        if start < self.start_ms:
-            self.start_ms = start
-        if end > self.end_ms:
-            self.end_ms = end
 
     # ------------------------------------------------------------------ #
     def finalize(self) -> "ReplayStats":
@@ -310,7 +294,8 @@ class _StreamAggregator:
         fleet = self.fleet
         combined = fleet.combined_stats()
         before = self.before
-        span = max(0.0, self.end_ms - self.start_ms)
+        start_ms, end_ms, peak = self._span_and_peak()
+        span = max(0.0, end_ms - start_ms)
         for entry in per_drive:
             entry["utilization"] = entry["busy_ms"] / span if span > 0.0 else 0.0
 
@@ -324,12 +309,12 @@ class _StreamAggregator:
             streamed=combined.streamed - before.streamed,
             sectors=(combined.sectors_read + combined.sectors_written)
             - (before.sectors_read + before.sectors_written),
-            start_ms=self.start_ms,
-            end_ms=self.end_ms,
+            start_ms=start_ms,
+            end_ms=end_ms,
             response=self._summarize(issued),
             breakdown=breakdown,
             per_drive=per_drive,
-            peak_outstanding=self._peak_outstanding(),
+            peak_outstanding=peak,
             mode=self.mode,
         )
         # Fault counters (deltas, like the drive counters above) ride in
@@ -404,7 +389,10 @@ class _StreamAggregator:
             responses.extend(resp)
         return summarize(responses)
 
-    def _peak_outstanding(self) -> int:
+    def _span_and_peak(self) -> tuple[float, float, int]:
+        """``(start_ms, end_ms, peak_outstanding)``: the first issue, the
+        last completion and the most requests in flight at any issue, read
+        from every shard's issue and completion events, each sorted."""
         np = _numpy()
         if np is not None:
             issues = np.sort(
@@ -425,7 +413,7 @@ class _StreamAggregator:
             )
             done_before = np.searchsorted(comps, issues, side="right")
             outstanding = np.arange(1, issues.shape[0] + 1) - done_before
-            return int(outstanding.max())
+            return float(issues[0]), float(comps[-1]), int(outstanding.max())
         all_issues: list[float] = []
         all_completions: list[float] = []
         for agg in self.shards:
@@ -443,7 +431,7 @@ class _StreamAggregator:
             outstanding += 1
             if outstanding > peak:
                 peak = outstanding
-        return peak
+        return all_issues[0], all_completions[-1], peak
 
     def outstanding_at(self, shard: int, times) -> list[int]:
         """Queue depth of ``shard`` (in-flight requests) at each sample
@@ -510,7 +498,6 @@ def _kernel_gate(engine: "TraceReplayEngine", scheduled: bool, one_shot: bool):
     here: :func:`repro.sim.kernel.eligible_shard_columns` guards each chunk.
     """
     from ..disksim.sched import kernel_fallback_reason
-    from .kernel import fleet_eligibility
 
     if engine.fast is not None and not engine.fast:
         return None, "fast disabled"
@@ -528,13 +515,14 @@ def _kernel_gate(engine: "TraceReplayEngine", scheduled: bool, one_shot: bool):
 
 
 class _DriveQueue:
-    """One drive's persistent queue-loop state: its scheduler, the routed
-    rows buffered but not yet admitted, and the closed-loop admission
-    flags."""
+    """One drive's persistent queue-loop state: its scheduler (bound to the
+    drive), the routed rows buffered but not yet admitted, and the
+    closed-loop admission flags."""
 
     __slots__ = ("sched", "ops", "lbns", "counts", "times", "filling", "owed")
 
-    def __init__(self, sched) -> None:
+    def __init__(self, sched, drive) -> None:
+        sched.bind(drive)
         self.sched = sched
         self.ops: list = []
         self.lbns: list = []
@@ -572,16 +560,18 @@ class _Oracle:
       outstanding: the first are admitted at time zero, every completion
       admits the next one (plus ``think_ms``).
 
-    The scheduled loops attach a clone of the engine's scheduler to every
-    drive when the oracle first serves a chunk, keep it across chunks and
-    detach it in :meth:`detach`.  A decision a later chunk could change
-    waits for that chunk: an open dispatch decided at or past the last
-    buffered timestamp (a later request may arrive by then), and a closed
-    dispatch while an admission is owed to a row not yet buffered.
-    Recomputed once the next chunk is buffered, the decision time is the
-    same (neither the queue nor the buffer head moved), so admissions and
-    dispatch order match an unchunked replay.  :meth:`drain` finishes the
-    queues when the stream ends.
+    The scheduled loops bind a clone of the engine's scheduler to every
+    drive when the oracle first serves a chunk and keep it across chunks:
+    each admission is a ``push``, each dispatch a ``pop`` whose entry the
+    drive serves with ``submit``.  The drives themselves hold no queue.  A
+    decision a later chunk could change waits for that chunk: an open
+    dispatch decided at or past the last buffered timestamp (a later
+    request may arrive by then), and a closed dispatch while an admission
+    is owed to a row not yet buffered.  Recomputed once the next chunk is
+    buffered, the decision time is the same (neither the queue nor the
+    buffer head moved), so admissions and dispatch order match an
+    unchunked replay.  :meth:`drain` finishes the queues when the stream
+    ends.
     """
 
     def __init__(
@@ -608,10 +598,9 @@ class _Oracle:
         if self.scheduled:
             if self.queues is None:
                 self.queues = [
-                    _DriveQueue(self.engine.scheduler.clone()) for _ in self.drives
+                    _DriveQueue(self.engine.scheduler.clone(), drive)
+                    for drive in self.drives
                 ]
-                for drive, queue in zip(self.drives, self.queues):
-                    drive.attach_scheduler(queue.sched)
             for s, (drive, *columns) in enumerate(routed):
                 queue = self.queues[s]
                 queue.extend(*columns)
@@ -642,11 +631,6 @@ class _Oracle:
             self._dispatch(s, drive, queue, None)
         return sum(queue.sched.forced_dispatches for queue in self.queues)
 
-    def detach(self) -> None:
-        if self.queues is not None:
-            for drive in self.drives:
-                drive.attach_scheduler(None)
-
     def _dispatch(
         self, s: int, drive, queue: _DriveQueue, last_ts: float | None
     ) -> None:
@@ -659,7 +643,9 @@ class _Oracle:
         n = len(ops)
         i = 0
         add = self.agg.add_completed
-        enqueue = drive.enqueue
+        push = sched.push
+        pop = sched.pop
+        submit = drive.submit
         if self.open:
             horizon = math.inf if final else last_ts
             while i < n or len(sched):
@@ -672,9 +658,10 @@ class _Oracle:
                 if now >= horizon:
                     break  # a later chunk may hold a request arriving by now
                 while i < n and times[i] <= now:
-                    enqueue(DiskRequest(ops[i], lbns[i], counts[i]), times[i])
+                    push(DiskRequest(ops[i], lbns[i], counts[i]), times[i])
                     i += 1
-                add(s, drive.dispatch_next(now))
+                entry = pop(now)
+                add(s, submit(entry.request, entry.issue_time))
             queue.consume(i)
             return
 
@@ -683,7 +670,7 @@ class _Oracle:
         now = self.now
         if queue.filling:
             while i < n and len(sched) < depth:
-                enqueue(DiskRequest(ops[i], lbns[i], counts[i]), now[s])
+                push(DiskRequest(ops[i], lbns[i], counts[i]), now[s])
                 i += 1
             if len(sched) < depth and not final:
                 queue.consume(i)  # the fill may complete with later rows
@@ -691,7 +678,7 @@ class _Oracle:
             queue.filling = False
         if queue.owed:
             if i < n:
-                enqueue(DiskRequest(ops[i], lbns[i], counts[i]), now[s])
+                push(DiskRequest(ops[i], lbns[i], counts[i]), now[s])
                 i += 1
             elif not final:
                 return  # the owed row is still in a later chunk
@@ -700,11 +687,12 @@ class _Oracle:
             decision = drive.actuator_free
             if now[s] > decision:
                 decision = now[s]
-            done = drive.dispatch_next(decision)
+            entry = pop(decision)
+            done = submit(entry.request, entry.issue_time)
             add(s, done)
             now[s] = done.completion + think_ms
             if i < n:
-                enqueue(DiskRequest(ops[i], lbns[i], counts[i]), now[s])
+                push(DiskRequest(ops[i], lbns[i], counts[i]), now[s])
                 i += 1
             elif not final:
                 # The admission owed here lives in a later chunk; perform
@@ -737,7 +725,6 @@ def _replay(
     Sets the engine's ``last_replay_path``/``last_fast_reason``.
     """
     from ..disksim.sched import FCFSScheduler
-    from .kernel import _service_shard, count_routing, eligible_shard_columns
 
     fleet = engine.fleet
     if reset:
@@ -752,33 +739,29 @@ def _replay(
     # scheduler gives the kernel that order.
     policy = engine.scheduler if scheduled else FCFSScheduler()
     kernel_chunks = scalar_chunks = forced = 0
-    try:
-        for chunk in _counted(agg, stream):
-            shard_cols = None
-            if np is not None:
-                shard_cols, split, reason = eligible_shard_columns(np, fleet, chunk)
-                if refusal is None:
-                    refusal = reason
-            if shard_cols is None:
-                scalar_chunks += 1
-                oracle.serve(chunk)
+    for chunk in _counted(agg, stream):
+        shard_cols = None
+        if np is not None:
+            shard_cols, split, reason = eligible_shard_columns(np, fleet, chunk)
+            if refusal is None:
+                refusal = reason
+        if shard_cols is None:
+            scalar_chunks += 1
+            oracle.serve(chunk)
+            continue
+        kernel_chunks += 1
+        count_routing(fleet, shard_cols, split)
+        for s, (columns, drive) in enumerate(zip(shard_cols, fleet.drives)):
+            if not int(columns[0].shape[0]):
                 continue
-            kernel_chunks += 1
-            count_routing(fleet, shard_cols, split)
-            for s, (columns, drive) in enumerate(zip(shard_cols, fleet.drives)):
-                if not int(columns[0].shape[0]):
-                    continue
-                sched = policy.clone()
-                sched.kernel_reset()
-                out, shard_forced, now[s] = _service_shard(
-                    np, drive, sched, *columns, mode, engine.queue_depth,
-                    think_ms, agg.shards[s], now[s],
-                )
-                agg.add_kernel(s, out)
-                forced += shard_forced
-        forced += oracle.drain()
-    finally:
-        oracle.detach()
+            sched = policy.clone()
+            sched.kernel_reset()
+            shard_forced, now[s] = _service_shard(
+                np, drive, sched, *columns, mode, engine.queue_depth,
+                think_ms, agg.shards[s], now[s],
+            )
+            forced += shard_forced
+    forced += oracle.drain()
     stats = agg.finalize()
     if not kernel_chunks:
         engine.last_replay_path = "scalar"

@@ -244,7 +244,7 @@ def test_fcfs_closed_depth1_is_classic_onereq():
 def test_numpy_absent_falls_back_to_scalar(monkeypatch):
     import builtins
 
-    from repro.disksim import geometry as geometry_module
+    from repro.sim import kernel as kernel_module
 
     trace = random_trace(cacheless_drive(), n=60)
     reference = TraceReplayEngine(
@@ -259,7 +259,7 @@ def test_numpy_absent_falls_back_to_scalar(monkeypatch):
         return real_import(name, *args, **kwargs)
 
     monkeypatch.setattr(
-        geometry_module, "_NUMPY_CACHE", geometry_module._NUMPY_UNRESOLVED
+        kernel_module, "_NUMPY_CACHE", kernel_module._NUMPY_UNRESOLVED
     )
     monkeypatch.setattr(builtins, "__import__", blocked_import)
     try:
@@ -272,7 +272,7 @@ def test_numpy_absent_falls_back_to_scalar(monkeypatch):
         assert engine.last_fast_reason == "numpy unavailable"
         assert stats.to_dict() == reference.to_dict()
     finally:
-        geometry_module._NUMPY_CACHE = geometry_module._NUMPY_UNRESOLVED
+        kernel_module._NUMPY_CACHE = kernel_module._NUMPY_UNRESOLVED
 
 
 @needs_numpy

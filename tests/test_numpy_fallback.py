@@ -1,7 +1,7 @@
 """numpy-free degradation: a worker without numpy must fall back to the
 exact scalar paths after a *single* import attempt and a single warning.
 
-:func:`repro.disksim.geometry._numpy` caches the import result at module
+:func:`repro.sim.kernel._numpy` caches the import result at module
 level, so a spawn worker in a numpy-less environment pays the failed
 import once, and says so once, instead of on every call.  These tests
 monkeypatch numpy away, reset the cache, and assert exactly one attempt,
@@ -30,7 +30,7 @@ def block_numpy(monkeypatch) -> list[str]:
     Returns the list of blocked import attempts so tests can assert the
     import is tried exactly once per process, not once per batch.
     """
-    from repro.disksim import geometry as geometry_module
+    from repro.sim import kernel as kernel_module
 
     attempts = []
     real_import = builtins.__import__
@@ -42,7 +42,7 @@ def block_numpy(monkeypatch) -> list[str]:
         return real_import(name, *args, **kwargs)
 
     monkeypatch.setattr(
-        geometry_module, "_NUMPY_CACHE", geometry_module._NUMPY_UNRESOLVED
+        kernel_module, "_NUMPY_CACHE", kernel_module._NUMPY_UNRESOLVED
     )
     monkeypatch.setattr(builtins, "__import__", blocked_import)
     return attempts
@@ -51,11 +51,11 @@ def block_numpy(monkeypatch) -> list[str]:
 @pytest.fixture()
 def no_numpy(monkeypatch):
     """:func:`block_numpy` for the whole test; yields the attempts list."""
-    from repro.disksim import geometry as geometry_module
+    from repro.sim import kernel as kernel_module
 
     yield block_numpy(monkeypatch)
     # Leave the cache unresolved so the next caller re-imports real numpy.
-    geometry_module._NUMPY_CACHE = geometry_module._NUMPY_UNRESOLVED
+    kernel_module._NUMPY_CACHE = kernel_module._NUMPY_UNRESOLVED
 
 
 def chunks(times: list[float]) -> list[Trace]:

@@ -83,41 +83,35 @@ class TestRegistry:
 
 
 # --------------------------------------------------------------------------- #
-# Drive-level queue interface
+# A drive's queue: a scheduler bound to it, served with DiskDrive.submit
 # --------------------------------------------------------------------------- #
 
 class TestDriveQueue:
-    def test_enqueue_without_scheduler_raises(self, small_drive):
-        with pytest.raises(RequestError, match="no scheduler"):
-            small_drive.enqueue(DiskRequest.read(0, 16), 0.0)
-
     def test_push_on_unbound_scheduler_raises(self):
         with pytest.raises(SchedulerError, match="not bound"):
             SSTFScheduler().push(DiskRequest.read(0, 16), 0.0)
 
     def test_enqueue_validates_capacity(self, small_drive):
-        small_drive.attach_scheduler(FCFSScheduler())
+        sched = FCFSScheduler()
+        sched.bind(small_drive)
         total = small_drive.geometry.total_lbns
-        with pytest.raises(RequestError, match="exceeds"):
-            small_drive.enqueue(DiskRequest.read(total - 1, 16), 0.0)
-        assert small_drive.pending == 0
+        with pytest.raises(RequestError, match="exceeds device capacity"):
+            sched.push(DiskRequest.read(total - 1, 16), 0.0)
+        assert len(sched) == 0
 
     def test_pending_and_dispatch(self, small_drive):
-        small_drive.attach_scheduler(FCFSScheduler())
-        small_drive.enqueue(DiskRequest.read(0, 16), 0.0)
-        small_drive.enqueue(DiskRequest.read(64, 16), 0.0)
-        assert small_drive.pending == 2
-        done = small_drive.dispatch_next(0.0)
+        sched = FCFSScheduler()
+        sched.bind(small_drive)
+        sched.push(DiskRequest.read(0, 16), 0.0)
+        sched.push(DiskRequest.read(64, 16), 0.0)
+        assert len(sched) == 2
+        entry = sched.pop(0.0)
+        done = small_drive.submit(entry.request, entry.issue_time)
         assert done.request.lbn == 0
-        assert small_drive.pending == 1
-        small_drive.dispatch_next(done.completion)
-        assert small_drive.dispatch_next(1e9) is None
-
-    def test_reset_clears_queue(self, small_drive):
-        small_drive.attach_scheduler(FCFSScheduler())
-        small_drive.enqueue(DiskRequest.read(0, 16), 0.0)
-        small_drive.reset()
-        assert small_drive.pending == 0
+        assert len(sched) == 1
+        entry = sched.pop(done.completion)
+        small_drive.submit(entry.request, entry.issue_time)
+        assert sched.pop(1e9) is None
 
 
 # --------------------------------------------------------------------------- #
@@ -125,11 +119,12 @@ class TestDriveQueue:
 # --------------------------------------------------------------------------- #
 
 def _queue_on(drive, policy, entries):
-    """Attach a policy and enqueue (lbn, count, t) tuples; return it."""
+    """Bind a policy to ``drive`` and push (lbn, count, t) tuples; return
+    it."""
     sched = make_scheduler(policy)
-    drive.attach_scheduler(sched)
+    sched.bind(drive)
     for lbn, count, t in entries:
-        drive.enqueue(DiskRequest.read(lbn, count), t)
+        sched.push(DiskRequest.read(lbn, count), t)
     return sched
 
 
@@ -224,12 +219,12 @@ class TestStarvationBound:
         geometry = small_drive.geometry
         far = geometry.track_bounds(geometry.num_tracks - 1)[0]
         sched = make_scheduler("sstf", starvation_ms=10.0)
-        small_drive.attach_scheduler(sched)
-        small_drive.enqueue(DiskRequest.read(far, 8), 0.0)   # far, old
-        small_drive.enqueue(DiskRequest.read(0, 8), 5.0)     # near, young
+        sched.bind(small_drive)
+        sched.push(DiskRequest.read(far, 8), 0.0)   # far, old
+        sched.push(DiskRequest.read(0, 8), 5.0)     # near, young
         # Within the bound SSTF still prefers the near request ...
         assert sched.pop(9.0).request.lbn == 0
-        small_drive.enqueue(DiskRequest.read(0, 8), 9.0)
+        sched.push(DiskRequest.read(0, 8), 9.0)
         # ... but once the far request's age exceeds the bound it is forced.
         assert sched.pop(11.0).request.lbn == far
         assert sched.forced_dispatches == 1
@@ -502,5 +497,3 @@ class TestFacadeWiring:
         stats = engine.replay(trace)
         assert len(proto) == 0
         assert stats.issued_requests >= len(trace)
-        for drive in fleet:
-            assert drive.scheduler is None  # detached after the replay

@@ -141,25 +141,61 @@ def test_out_of_order_bus_changes_an_open_scenario():
     assert replay(in_order_bus=False) != replay(in_order_bus=True)
 
 
+#: Invalid second rows of a two-request trace; a callable LBN is a function
+#: of the fleet's capacity.
+INVALID_REQUESTS = [
+    pytest.param(64, 8, "erase", id="unknown-opcode"),
+    pytest.param(64, 0, "read", id="non-positive-count"),
+    pytest.param(-1, 8, "read", id="negative-lbn"),
+    pytest.param(lambda total: total - 7, 8, "read", id="past-capacity"),
+    pytest.param(lambda total: total, 8, "read", id="starts-past-capacity"),
+]
+
+
+def rejection(n_drives: int, total: int, lbn: int, count: int, op: str) -> str:
+    """The message a replay raises for an invalid row: the request's own
+    checks come first, then the capacity check of the fleet router (several
+    drives) or of the drive (one drive, whose fleet routes unchecked)."""
+    if op == "erase":
+        return "unknown opcode 'erase'"
+    if count <= 0:
+        return "request count must be positive"
+    if lbn < 0 and n_drives == 1:
+        return "request LBN must be non-negative"
+    owner = "fleet" if n_drives > 1 else "device"
+    return f"request [{lbn}, {lbn + count}) exceeds {owner} capacity of {total} sectors"
+
+
+#: Every replay discipline: ``(mode, policy, closed queue depth)``.
+DISCIPLINES = [
+    ("open", "fcfs", 1),
+    ("open", "sptf", 1),
+    ("closed", "fcfs", 1),
+    ("closed", "fcfs", 4),
+    ("closed", "sptf", 4),
+]
+
+
 @pytest.mark.parametrize("fast", [None, False])
 @pytest.mark.parametrize("n_drives", [1, 3])
-@pytest.mark.parametrize(
-    "lbn,count,op",
-    [
-        pytest.param(64, 8, "erase", id="unknown-opcode"),
-        pytest.param(64, 0, "read", id="non-positive-count"),
-        pytest.param(-1, 8, "read", id="negative-lbn"),
-        pytest.param(None, 8, "read", id="past-capacity"),
-    ],
-)
+@pytest.mark.parametrize("lbn,count,op", INVALID_REQUESTS)
 def test_replay_rejects_invalid_requests(small_specs, n_drives, fast, lbn, count, op):
-    fleet = LbnRangeShard([DiskDrive(small_specs) for _ in range(n_drives)])
-    if lbn is None:
-        lbn = fleet.total_lbns - count + 1
-    # The constructor takes the columns as given; Trace.append would refuse.
-    trace = Trace([0.0, 1.0], [0, lbn], [8, count], ["read", op])
-    with pytest.raises(RequestError):
-        TraceReplayEngine(fleet, fast=fast).replay(trace)
+    """Every discipline raises the same error for the same invalid row."""
+    for mode, policy, depth in DISCIPLINES:
+        fleet = LbnRangeShard([DiskDrive(small_specs) for _ in range(n_drives)])
+        row_lbn = lbn(fleet.total_lbns) if callable(lbn) else lbn
+        message = rejection(n_drives, fleet.total_lbns, row_lbn, count, op)
+        # The constructor takes the columns as given; Trace.append would refuse.
+        trace = Trace([0.0, 1.0], [0, row_lbn], [8, count], ["read", op])
+        engine = TraceReplayEngine(
+            fleet, fast=fast, scheduler=policy, queue_depth=depth
+        )
+        try:
+            (engine.replay if mode == "open" else engine.replay_closed)(trace)
+        except RequestError as error:
+            assert str(error) == message, (mode, policy, depth)
+        else:
+            pytest.fail(f"{mode} {policy} depth {depth} accepted the row")
 
 
 # --------------------------------------------------------------------------- #

@@ -509,17 +509,23 @@ def test_stream_empty_rejected(small_drive):
 
 
 def test_stream_parity_no_numpy(monkeypatch):
-    """Scalar-only hosts stream through the exact scalar oracle."""
+    """Scalar-only hosts stream through the exact scalar oracle, bitwise
+    equal to the kernel's one-shot replay."""
     import repro.sim.stream as stream_mod
 
-    monkeypatch.setattr(stream_mod, "_numpy", lambda: None)
-    fleet = build_fleet(2)
+    # Cache off, so the reference runs on the kernel wherever numpy imports.
+    fleet = build_fleet(2, caching=False)
     trace = build_trace(fleet, 200, seed=29)
     engine = TraceReplayEngine(fleet)
-    reference = engine.replay(trace)  # one-shot still has numpy available
+    reference = engine.replay(trace)
+    if HAVE_NUMPY:
+        assert engine.last_replay_path in ("kernel", "kernel_sched")
+    monkeypatch.setattr(stream_mod, "_numpy", lambda: None)
     streamed = engine.replay_stream(trace.iter_chunks(31))
     assert streamed.to_dict() == reference.to_dict()
-    assert engine.last_fast_reason == "numpy unavailable"
+    assert (engine.last_replay_path, engine.last_fast_reason) == (
+        "scalar", "numpy unavailable"
+    )
 
 
 # --------------------------------------------------------------------------- #
