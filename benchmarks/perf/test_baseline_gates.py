@@ -5,6 +5,8 @@ No timing here.  These tests pin what the throughput benchmarks do with
 
 * a gate whose section is missing from the committed baseline fails and
   names the section (it used to pass silently),
+* a failing gate names the current and committed rps of both sides of its
+  ratio, so the message shows which side moved,
 * the write helpers leave the committed baseline byte-identical and write
   only to the untracked output directory, so a run cannot ratchet the
   baseline it is gated against,
@@ -57,6 +59,37 @@ def test_gates_pass_and_fail_against_a_present_section():
     assert replay._check_sched_regressions(baseline, _sched("fcfs")) == []
     assert _check_streaming_regression({"streaming": _streaming(0.9)}, _streaming(0.8)) == []
     assert _check_streaming_regression({"streaming": _streaming(0.9)}, _streaming(0.5))
+
+
+def test_failing_gates_name_both_sides_rps():
+    baseline = {
+        "naive": {"rps": 20000.0},
+        "kernel": {"rps": 400000.0, "speedup_vs_naive": 20.0},
+        "scheduled": {"policies": {"sptf": {
+            "scalar_rps": 3000.0, "kernel_rps": 30000.0, "speedup_vs_scalar": 10.0,
+        }}},
+        "streaming": {
+            "one_shot": {"rps": 300000.0},
+            "streamed": {"rps": 270000.0, "ratio_vs_one_shot": 0.9},
+        },
+    }
+    (kernel,) = replay._check_regressions(baseline, {
+        "naive": {"rps": 25000.0},
+        "kernel": {"rps": 250000.0, "speedup_vs_naive": 10.0},
+    })
+    assert "naive 25000 rps (committed 20000 rps)" in kernel
+    assert "kernel 250000 rps (committed 400000 rps)" in kernel
+    (scheduled,) = replay._check_sched_regressions(baseline, {"policies": {"sptf": {
+        "scalar_rps": 4000.0, "kernel_rps": 20000.0, "speedup_vs_scalar": 5.0,
+    }}})
+    assert "scalar 4000 rps (committed 3000 rps)" in scheduled
+    assert "kernel_sched 20000 rps (committed 30000 rps)" in scheduled
+    (streaming,) = _check_streaming_regression(baseline, {
+        "one_shot": {"rps": 310000.0},
+        "streamed": {"rps": 150000.0, "ratio_vs_one_shot": 0.48},
+    })
+    assert "one-shot 310000 rps (committed 300000 rps)" in streaming
+    assert "streamed 150000 rps (committed 270000 rps)" in streaming
 
 
 def test_committed_baseline_holds_every_gated_section():

@@ -191,6 +191,25 @@ def missing_baseline(section: str) -> str:
     )
 
 
+def section_rps(section: dict, key: str) -> "float | None":
+    """``section[key]["rps"]``, or None when either is missing."""
+    return (section.get(key) or {}).get("rps")
+
+
+def rps_sides(*sides: tuple[str, "float | None", "float | None"]) -> str:
+    """``name <current> rps (committed <baseline> rps)`` for each
+    ``(name, current, committed)`` side of a ratio, so a failing gate shows
+    which side moved."""
+
+    def rps(value) -> str:
+        return f"{value:.0f} rps" if value else "no rps"
+
+    return ", ".join(
+        f"{name} {rps(current)} (committed {rps(committed)})"
+        for name, current, committed in sides
+    )
+
+
 def _check_regressions(baseline: dict, payload: dict) -> list[str]:
     """Compare the kernel's naive-normalized speedup against the committed
     baseline."""
@@ -199,9 +218,13 @@ def _check_regressions(baseline: dict, payload: dict) -> list[str]:
         return [missing_baseline("kernel")]
     current = payload["kernel"]["speedup_vs_naive"]
     if current < reference * (1.0 - MAX_REGRESSION):
+        sides = rps_sides(
+            ("naive", section_rps(payload, "naive"), section_rps(baseline, "naive")),
+            ("kernel", section_rps(payload, "kernel"), section_rps(baseline, "kernel")),
+        )
         return [
             f"kernel speedup regressed >20%: {current:.2f}x vs committed "
-            f"baseline {reference:.2f}x"
+            f"baseline {reference:.2f}x; {sides}"
         ]
     return []
 
@@ -364,6 +387,17 @@ def _time_sched_replay(trace: Trace, policy: str, fast: bool) -> tuple[float, ob
     return best, stats
 
 
+def sched_rps_sides(baseline: dict, policy: str, row: dict) -> str:
+    """:func:`rps_sides` of one policy's scalar and kernel_sched runs."""
+    committed = (
+        ((baseline.get("scheduled") or {}).get("policies") or {}).get(policy) or {}
+    )
+    return rps_sides(
+        ("scalar", row.get("scalar_rps"), committed.get("scalar_rps")),
+        ("kernel_sched", row.get("kernel_rps"), committed.get("kernel_rps")),
+    )
+
+
 def _check_sched_regressions(baseline: dict, section: dict) -> list[str]:
     """Per-policy 20 % gate on the scalar-normalized kernel speedups."""
     reference_policies = (baseline.get("scheduled") or {}).get("policies") or {}
@@ -379,7 +413,8 @@ def _check_sched_regressions(baseline: dict, section: dict) -> list[str]:
         if current < reference * (1.0 - MAX_REGRESSION):
             failures.append(
                 f"kernel_sched {policy} speedup regressed >20%: "
-                f"{current:.2f}x vs committed baseline {reference:.2f}x"
+                f"{current:.2f}x vs committed baseline {reference:.2f}x; "
+                f"{sched_rps_sides(baseline, policy, row)}"
             )
     return failures
 
@@ -432,13 +467,14 @@ def test_scheduled_replay_throughput():
     write_bench_section({"scheduled": section})
     regressions = _check_sched_regressions(COMMITTED_BASELINE, section)
 
-    slow = {
-        policy: row["speedup_vs_scalar"]
+    slow = [
+        f"{policy} {row['speedup_vs_scalar']:.2f}x: "
+        f"{sched_rps_sides(COMMITTED_BASELINE, policy, row)}"
         for policy, row in section["policies"].items()
         if row["speedup_vs_scalar"] < MIN_SCHED_SPEEDUP
-    }
+    ]
     assert not slow, (
         f"kernel_sched below the {MIN_SCHED_SPEEDUP}x floor vs the scalar "
-        f"queue loop: {slow}"
+        f"queue loop: {'; '.join(slow)}"
     )
     assert not regressions, "; ".join(regressions)

@@ -44,6 +44,8 @@ from test_replay_throughput import (
     append_history,
     build_aligned_trace,
     missing_baseline,
+    rps_sides,
+    section_rps,
     write_bench_section,
     write_report,
 )
@@ -57,16 +59,19 @@ MIN_STREAM_RATIO = 0.8
 
 
 def _check_streaming_regression(baseline: dict, section: dict) -> list[str]:
-    reference = ((baseline.get("streaming") or {}).get("streamed") or {}).get(
-        "ratio_vs_one_shot"
-    )
+    committed = baseline.get("streaming") or {}
+    reference = (committed.get("streamed") or {}).get("ratio_vs_one_shot")
     if not reference:
         return [missing_baseline("streaming")]
     current = section["streamed"]["ratio_vs_one_shot"]
     if current < reference * (1.0 - MAX_REGRESSION):
+        sides = rps_sides(
+            ("one-shot", section_rps(section, "one_shot"), section_rps(committed, "one_shot")),
+            ("streamed", section_rps(section, "streamed"), section_rps(committed, "streamed")),
+        )
         return [
             f"streamed/one-shot ratio regressed >20%: {current:.3f} vs "
-            f"committed baseline {reference:.3f}"
+            f"committed baseline {reference:.3f}; {sides}"
         ]
     return []
 

@@ -34,7 +34,7 @@ or closed mode at any depth) admits requests to a pending queue, and the
 scheduler's ``kernel_select`` hook scores the whole queue against the
 columns (:class:`~repro.disksim.sched.KernelQueueView`) at each dispatch,
 mirroring ``Scheduler.pop``.  Both dispatch orders share the single-track
-service arithmetic and the multi-track fallback below.
+service arithmetic and the multi-track service below.
 
 The kernel is refused (the replay loop reports a reason and runs the
 exact scalar oracle instead) whenever its model could diverge from the
@@ -57,10 +57,15 @@ scalar one:
   hooks without matching kernel hooks:
   ``"scheduler not kernel-vectorizable"``.
 
-A request that spans multiple tracks is served by the drive's own
-:meth:`~repro.disksim.drive.DiskDrive.submit`, with drive state synced both
-ways: the synced ``actuator_free`` gives ``submit`` the kernel's own
-mechanical start, so unaligned traces still replay through the kernel.
+A request that spans multiple tracks is served inside the kernel too, the
+way :meth:`~repro.disksim.drive.DiskDrive.submit` serves a cache miss: one
+piece per LBN-holding track, with a head switch (plus a seek when the
+cylinder changes) between pieces, zero-latency access only for a piece as
+long as its track's slot count, and the model's own
+:func:`~repro.disksim.mechanics.access_arc` and
+:class:`~repro.disksim.bus.BusModel` for each piece's arc and the bus.  The
+kernel never calls into the drive, so unaligned traces replay through it
+at kernel speed.
 
 On caching-enabled drives the kernel performs the same
 ``record_read``/``record_write`` cache bookkeeping as the scalar path
@@ -76,7 +81,8 @@ import warnings
 import weakref
 from typing import TYPE_CHECKING
 
-from ..disksim.drive import READ, WRITE, DiskRequest
+from ..disksim.drive import READ, WRITE
+from ..disksim.mechanics import MediaRun, access_arc
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..disksim.drive import DiskDrive
@@ -415,7 +421,14 @@ def _service_shard(
     recurrence -- actuator/bus availability, head position, rotation phase
     and queue admission.  Float arithmetic matches the scalar ``submit``
     path operation for operation, so the replay is bitwise identical to the
-    scalar loops of :mod:`repro.sim.stream`.
+    scalar loops of :mod:`repro.sim.stream`.  Single-track rows run the
+    inlined service arithmetic; a row that crosses a track boundary runs
+    the piece loop of ``DiskDrive._media_access`` over the per-track tables
+    (``serve_multitrack``).  Nothing here calls a ``DiskDrive`` method: the
+    drive's clocks, head position and
+    :class:`~repro.disksim.drive.DriveStats` are read once and written back
+    once per shard, and its cache records each row as the scalar path
+    records it.
 
     Dispatch order comes from the scheduler class.  Under FCFS in open
     mode (FCFS's ``kernel_select``, no ``kernel_removed`` override) every
@@ -530,14 +543,15 @@ def _service_shard(
     start_slot_l = start_slot_col.tolist()
     transfer_l = transfer_col.tolist()
     total_bus_l = total_bus_col.tolist()
-    stream_ms_l = tr_stream_ms[track].tolist()
+    # The prefetch rate record_read gets: the zone of the request's last
+    # sector (DiskDrive.streaming_ms_per_sector(lbn + count - 1)).
+    stream_ms_l = tr_stream_ms[etrack].tolist()
     ecyl_l = ecyl.tolist()
     esurf_l = esurf.tolist()
 
     if arrival_order:
         # Head position before each request: the previous request's end
-        # track (a multi-track request serviced by the scalar code ends
-        # there too).
+        # track.
         prev_cyl = np.empty_like(ecyl)
         prev_surf = np.empty_like(esurf)
         prev_cyl[0] = drive.head_cylinder
@@ -592,7 +606,6 @@ def _service_shard(
     bus_sum = acc.bus
     overlap_sum = acc.overlap
     busy_sum = busy_start = acc.busy
-    fallback_busy = 0.0
     act_free = drive.actuator_free
     b_free = drive.bus_free
     # The head sits on the end track of the previous dispatch,
@@ -604,7 +617,85 @@ def _service_shard(
     forced = 0
 
     any_multi = bool(multi.any())
-    submit = drive.submit
+
+    def serve_multitrack(idx, mech_start, seek_ms, hs_ms, b_free):
+        """Serve row ``idx``, which crosses a track boundary, as
+        ``DiskDrive.submit`` serves a cache miss on a healthy drive with an
+        in-order bus: the piece loop of ``_media_access``, then the bus and
+        the ``_update_after_media`` cache bookkeeping.  Returns ``(hs_ms,
+        latency, transfer, total_bus, overlap, media_end, completion,
+        b_free)``.
+
+        Pieces run over the request's tracks, skipping zero-capacity spare
+        tracks as ``_split_by_track`` does.  On a defect-free geometry a
+        piece's arc is exactly its sectors, so zero-latency access applies
+        to a piece only when it is as long as its track's slot count.
+        """
+        lbn = lbn_l[idx]
+        count = count_l[idx]
+        end = lbn + count
+        t = mech_start + seek_ms + settle_l[idx] + hs_ms
+        if not is_read_l[idx]:
+            first_ready, bus_done = bus.write_data_ready(issue_l[idx], b_free, count)
+            t = max(t, first_ready)
+        latency = 0.0
+        transfer = 0.0
+        runs = []
+        piece_lbn = lbn
+        for tk in range(track.item(idx), etrack.item(idx) + 1):
+            tcount = tr_count.item(tk)
+            if not tcount:
+                continue
+            cylinder = tk // surfaces
+            if piece_lbn > lbn:
+                if cylinder == prev_cyl:
+                    switch = head_switch_cost
+                else:
+                    switch = head_switch_cost + seek_lut_l[abs(cylinder - prev_cyl)]
+                hs_ms += switch
+                t += switch
+            first = tr_first.item(tk)
+            piece_count = min(end, first + tcount) - piece_lbn
+            spt = tr_spt.item(tk)
+            sector_ms = tr_sector_ms.item(tk)
+            arc = access_arc(
+                spt=spt,
+                sector_ms=sector_ms,
+                arc_start_slot=piece_lbn - first,
+                arc_len=piece_count,
+                skew_offset=tr_skew.item(tk),
+                arrival_time=t,
+                rotation_ms=rotation,
+                zero_latency=zero_latency and piece_count >= spt,
+                rel_index_base=piece_lbn - lbn,
+            )
+            latency += arc.latency_ms
+            transfer += piece_count * sector_ms
+            for run in arc.runs:
+                runs.append(
+                    MediaRun(run.rel_start, run.count, t + run.t_begin, t + run.t_end)
+                )
+            t += arc.media_ms
+            piece_lbn += piece_count
+            prev_cyl = cylinder
+
+        if is_read_l[idx]:
+            result = bus.read_completion(count, runs, issue_cmd_l[idx], b_free)
+            completion = max(result.completion, t)
+            if maintain_cache:
+                record_read(lbn, count, t, stream_ms_l[idx])
+            return (
+                hs_ms, latency, transfer, result.transfer_ms, result.overlap_ms,
+                t, completion, max(b_free, completion),
+            )
+        total_bus = bus.transfer_ms(count)
+        overlap = max(0.0, min(bus_done, t) - (first_ready - bus_sector))
+        if maintain_cache:
+            record_write(lbn, count)
+        return (
+            hs_ms, latency, transfer, total_bus, min(overlap, total_bus),
+            t, t, bus_done,
+        )
 
     # ---- the serial recurrence: admission + dispatch + service --------- #
     # One monolithic loop with every piece of live state in plain locals.
@@ -681,38 +772,19 @@ def _service_shard(
                 hs_ms = head_switch_cost
 
         # ---- service at the current head/bus state --------------------- #
+        mech_start = issue_cmd_l[idx]
+        if act_free > mech_start:
+            mech_start = act_free
         if any_multi and multi_l[idx]:
-            # Multi-track request: the drive's own submit, with state synced
-            # both ways (the synced actuator_free gives it the mech_start
-            # the inline path would compute).  The reuse gate guarantees
-            # its cache lookup misses.
-            drive.head_cylinder = ecyl_l[prev]
-            drive.head_surface = esurf_l[prev]
-            drive.actuator_free = act_free
-            drive.bus_free = b_free
-            done = submit(
-                DiskRequest(
-                    READ if is_read_l[idx] else WRITE, lbn_l[idx], count_l[idx]
-                ),
-                issue_l[idx],
-            )
-            act_free = drive.actuator_free
-            b_free = drive.bus_free
-            seek_ms = done.seek_ms
-            settle = done.settle_ms
-            hs_ms = done.head_switch_ms
-            transfer = done.media_transfer_ms
-            total_bus = done.bus_ms
-            latency = done.rotational_latency_ms
-            overlap = done.bus_overlap_ms
-            busy = done.media_busy_ms
-            fallback_busy += busy
-            completion = done.completion
+            # The reuse gate guarantees the scalar path's cache probe misses.
+            (
+                hs_ms, latency, transfer, total_bus, overlap, act_free,
+                completion, b_free,
+            ) = serve_multitrack(idx, mech_start, seek_ms, hs_ms, b_free)
+            settle = settle_l[idx]
+            busy = act_free - mech_start
         else:
             # ---------------- inlined single-track service -------------- #
-            mech_start = issue_cmd_l[idx]
-            if act_free > mech_start:
-                mech_start = act_free
             count = count_l[idx]
             settle = settle_l[idx]
             spt = spt_l[idx]
@@ -874,21 +946,17 @@ def _service_shard(
     drive.head_cylinder = ecyl_l[prev]
     drive.head_surface = esurf_l[prev]
 
-    inline = ~multi
-    inline_reads = inline & is_read
-    inline_writes = inline & ~is_read
+    reads = int(np.count_nonzero(is_read))
     stats = drive.stats
-    stats.requests += int(np.count_nonzero(inline))
-    stats.reads += int(np.count_nonzero(inline_reads))
-    stats.writes += int(np.count_nonzero(inline_writes))
-    stats.sectors_read += int(counts[inline_reads].sum())
-    stats.sectors_written += int(counts[inline_writes].sum())
-    # Multi-track rows already credited their busy time through submit();
-    # add the inline rows' share.  (The ReplayStats breakdown uses the
-    # fold, which runs in service order and is therefore bitwise identical
-    # to the scalar path; the drive's own cumulative counter does not
-    # depend on summation order.)
-    stats.busy_ms += busy_sum - busy_start - fallback_busy
+    stats.requests += n
+    stats.reads += reads
+    stats.writes += n - reads
+    stats.sectors_read += int(counts[is_read].sum())
+    stats.sectors_written += int(counts[~is_read].sum())
+    # The ReplayStats breakdown uses the fold, which runs in service order
+    # and is therefore bitwise identical to the scalar path; the drive's
+    # own cumulative counter gets the shard's share in one addition.
+    stats.busy_ms += busy_sum - busy_start
 
     acc.seek = seek_sum
     acc.settle = settle_sum

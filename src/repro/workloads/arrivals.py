@@ -18,9 +18,13 @@ Four processes, each seeded and fully deterministic:
 * ``multiclient`` -- several independent per-client Poisson streams merged
   into one time-ordered stream (a heap merge, still lazy).
 
-Every generator draws request bodies (LBN, size, direction) from the same
-seeded uniform model over a target LBN space, so the processes differ only
-in their *timing* -- exactly what tail-latency comparisons want.
+Each process is a generator of ``(t, rng)`` arrivals: a timestamp and the
+seeded ``random.Random`` that drew it.  One chunker, :func:`_chunked`, turns
+any of them into the chunked trace: right after each arrival it draws the
+request body (LBN, then direction) from the same ``rng`` under one uniform
+model over a target LBN space, and appends the row straight to the chunk's
+columns.  The processes therefore differ only in their *timing* -- exactly
+what tail-latency comparisons want.
 
 Registry access mirrors the workload registry: :func:`get_arrival`,
 :func:`available_arrivals`, :func:`arrival_config` (unknown parameters fail
@@ -35,6 +39,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from ..disksim.drive import READ, WRITE
@@ -73,17 +78,37 @@ def _check_span(total_lbns: int, request_sectors: int) -> int:
     return total_lbns - request_sectors
 
 
-def _emit(
-    chunk: "Trace",
-    rng: "random.Random",
-    t: float,
+def _chunked(
+    arrivals: Iterator[tuple[float, random.Random]],
     span: int,
     sectors: int,
     read_fraction: float,
-) -> None:
-    lbn = rng.randrange(span)
-    op = READ if rng.random() < read_fraction else WRITE
-    chunk.append(t, lbn, sectors, op)
+    chunk_requests: int,
+) -> Iterator["Trace"]:
+    """Chunk a ``(t, rng)`` arrival generator into traces of at most
+    ``chunk_requests`` rows.
+
+    Each row's LBN and then its direction are drawn from the arrival's
+    ``rng`` before the generator draws its next arrival, so every stream
+    keeps its draw order whatever the chunk size.  Rows go straight into
+    the chunk's columns: the caller validated the config
+    (:func:`_check_body`, :func:`_check_span`), so every row is valid by
+    construction.  Yields each full chunk, then the non-empty tail.
+    """
+    while True:
+        chunk = Trace()
+        issue_ms = chunk.issue_ms
+        lbns = chunk.lbns
+        counts = chunk.counts
+        ops = chunk.ops
+        for t, rng in islice(arrivals, chunk_requests):
+            issue_ms.append(t)
+            lbns.append(rng.randrange(span))
+            counts.append(sectors)
+            ops.append(READ if rng.random() < read_fraction else WRITE)
+        if not lbns:
+            return
+        yield chunk
 
 
 # --------------------------------------------------------------------------- #
@@ -122,22 +147,16 @@ class PoissonArrivals:
         if chunk_requests <= 0:
             raise ConfigError("chunk_requests must be positive")
 
-        def chunks() -> Iterator["Trace"]:
+        def arrivals() -> Iterator[tuple[float, random.Random]]:
             rng = random.Random(config.seed)
             scale = 1000.0 / config.rate_rps  # mean interarrival in ms
             t = 0.0
-            chunk = Trace()
             for _ in range(config.n_requests):
                 t += rng.expovariate(1.0) * scale
-                _emit(chunk, rng, t, span, config.request_sectors,
-                      config.read_fraction)
-                if len(chunk) >= chunk_requests:
-                    yield chunk
-                    chunk = Trace()
-            if len(chunk):
-                yield chunk
+                yield t, rng
 
-        return chunks()
+        return _chunked(arrivals(), span, config.request_sectors,
+                        config.read_fraction, chunk_requests)
 
 
 # --------------------------------------------------------------------------- #
@@ -188,7 +207,7 @@ class BurstyArrivals:
         if chunk_requests <= 0:
             raise ConfigError("chunk_requests must be positive")
 
-        def chunks() -> Iterator["Trace"]:
+        def arrivals() -> Iterator[tuple[float, random.Random]]:
             rng = random.Random(config.seed)
             rates_per_ms = (
                 config.base_rate_rps / 1000.0,
@@ -199,7 +218,6 @@ class BurstyArrivals:
             t = 0.0
             state_end = rng.expovariate(1.0) * dwell_ms[state]
             emitted = 0
-            chunk = Trace()
             while emitted < config.n_requests:
                 dt = rng.expovariate(1.0) / rates_per_ms[state]
                 if t + dt >= state_end:
@@ -211,16 +229,11 @@ class BurstyArrivals:
                     state_end = t + rng.expovariate(1.0) * dwell_ms[state]
                     continue
                 t += dt
-                _emit(chunk, rng, t, span, config.request_sectors,
-                      config.read_fraction)
+                yield t, rng
                 emitted += 1
-                if len(chunk) >= chunk_requests:
-                    yield chunk
-                    chunk = Trace()
-            if len(chunk):
-                yield chunk
 
-        return chunks()
+        return _chunked(arrivals(), span, config.request_sectors,
+                        config.read_fraction, chunk_requests)
 
 
 # --------------------------------------------------------------------------- #
@@ -269,7 +282,7 @@ class DiurnalArrivals:
         if chunk_requests <= 0:
             raise ConfigError("chunk_requests must be positive")
 
-        def chunks() -> Iterator["Trace"]:
+        def arrivals() -> Iterator[tuple[float, random.Random]]:
             rng = random.Random(config.seed)
             peak_per_ms = config.peak_rate_rps / 1000.0
             base = config.base_rate_rps
@@ -277,22 +290,16 @@ class DiurnalArrivals:
             omega = 2.0 * math.pi / config.period_ms
             t = 0.0
             emitted = 0
-            chunk = Trace()
             while emitted < config.n_requests:
                 t += rng.expovariate(1.0) / peak_per_ms
                 rate = base + swing * 0.5 * (1.0 + math.sin(omega * t))
                 if rng.random() * config.peak_rate_rps > rate:
                     continue  # thinned out
-                _emit(chunk, rng, t, span, config.request_sectors,
-                      config.read_fraction)
+                yield t, rng
                 emitted += 1
-                if len(chunk) >= chunk_requests:
-                    yield chunk
-                    chunk = Trace()
-            if len(chunk):
-                yield chunk
 
-        return chunks()
+        return _chunked(arrivals(), span, config.request_sectors,
+                        config.read_fraction, chunk_requests)
 
 
 # --------------------------------------------------------------------------- #
@@ -337,7 +344,7 @@ class MultiClientArrivals:
         if chunk_requests <= 0:
             raise ConfigError("chunk_requests must be positive")
 
-        def chunks() -> Iterator["Trace"]:
+        def arrivals() -> Iterator[tuple[float, random.Random]]:
             scale = 1000.0 / config.rate_rps
             rngs = [
                 random.Random(config.seed * 1_000_003 + client)
@@ -348,22 +355,16 @@ class MultiClientArrivals:
                 for c in range(config.n_clients)
             ]
             heapq.heapify(heap)
-            chunk = Trace()
             for _ in range(config.n_requests):
                 t, client = heap[0]
                 rng = rngs[client]
-                _emit(chunk, rng, t, span, config.request_sectors,
-                      config.read_fraction)
+                yield t, rng
                 heapq.heapreplace(
                     heap, (t + rng.expovariate(1.0) * scale, client)
                 )
-                if len(chunk) >= chunk_requests:
-                    yield chunk
-                    chunk = Trace()
-            if len(chunk):
-                yield chunk
 
-        return chunks()
+        return _chunked(arrivals(), span, config.request_sectors,
+                        config.read_fraction, chunk_requests)
 
 
 # --------------------------------------------------------------------------- #

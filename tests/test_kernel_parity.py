@@ -9,7 +9,9 @@ identical targets and compare the full ``ReplayStats.to_dict()`` payloads,
 across aligned/unaligned, read/write, single-drive and 4-way-sharded
 traces, open queueing regimes and warm-state continuation -- plus the
 refusal cases (defects, cache-sensitive traces, missing numpy) where the
-engine must silently degrade to the scalar path.
+engine must silently degrade to the scalar path.  A replay that reports a
+kernel path must never call ``DiskDrive.submit``: requests that cross
+track boundaries are served inside the kernel too.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.api.factory import clear_drive_build_cache
 from repro.disksim import DiskDrive, DiskGeometry, small_test_specs
 from repro.disksim.cache import FirmwareCache
 from repro.disksim.sched import make_scheduler
+from repro.disksim.specs import SpareScheme
 from repro.sim import LbnRangeShard, Trace, TraceReplayEngine
 from repro.sim.kernel import eligible_shard_columns
 
@@ -82,12 +85,64 @@ def random_trace(
     return trace
 
 
-def assert_parity(trace: Trace, make_target, expect_path: str = "kernel"):
-    """Replay ``trace`` both ways on identical fresh targets and compare."""
-    scalar_engine = TraceReplayEngine(make_target(), fast=False)
-    scalar = scalar_engine.replay(trace)
-    fast_engine = TraceReplayEngine(make_target(), fast=True)
-    fast = fast_engine.replay(trace)
+def multitrack_trace(geometry: DiskGeometry, seed: int = 19) -> Trace:
+    """Requests that cross track boundaries, reads and writes alternating.
+
+    Starting mid-track on every other LBN-holding track, each request ends
+    mid-track 1, 2 or 3 LBN-holding tracks on: 2, 3 or 4 pieces, the middle
+    ones whole tracks.  One request crosses every zone boundary, where
+    ``TRACKS_PER_ZONE`` sparing leaves zero-capacity spare tracks between
+    its pieces.  Random requests of up to 1200 sectors follow.
+    """
+    tracks = [
+        bounds
+        for bounds in map(geometry.track_bounds, range(geometry.num_tracks))
+        if bounds[1] > 0
+    ]
+    rng = random.Random(seed)
+    rows = []
+    for k in range(0, len(tracks) - 3, 2):
+        first, count = tracks[k]
+        start = first + rng.randrange(1, count)
+        end_first, end_count = tracks[k + 1 + k % 3]
+        rows.append((start, end_first + rng.randrange(1, end_count) - start))
+    for zone in range(len(geometry.zones) - 1):
+        rows.append((geometry.zone_lbn_range(zone)[1] - 5, 25))
+    trace = Trace()
+    t = 0.0
+    for i, (lbn, count) in enumerate(rows):
+        trace.append(t, lbn, count, "write" if i % 2 else "read")
+        t += rng.expovariate(1 / 4.0)
+    tail = random_trace(geometry, 100, seed=seed).shift_to(t)
+    return Trace.from_chunks([trace, tail])
+
+
+def _no_submit(self, request, issue_time):
+    raise AssertionError("DiskDrive.submit ran during a kernel replay")
+
+
+def assert_parity(
+    trace: Trace, make_target, expect_path: str = "kernel", **engine_kwargs
+):
+    """Replay ``trace`` both ways on identical fresh targets and compare.
+
+    ``engine_kwargs`` (a scheduler and queue depth) make it a closed
+    replay.  The fast replay runs with ``DiskDrive.submit`` disabled when
+    it is expected on a kernel path.
+    """
+
+    def run(engine: TraceReplayEngine):
+        if engine_kwargs:
+            return engine.replay_closed(trace, think_ms=0.0)
+        return engine.replay(trace)
+
+    scalar_engine = TraceReplayEngine(make_target(), fast=False, **engine_kwargs)
+    scalar = run(scalar_engine)
+    fast_engine = TraceReplayEngine(make_target(), fast=True, **engine_kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        if expect_path.startswith("kernel"):
+            patch.setattr(DiskDrive, "submit", _no_submit)
+        fast = run(fast_engine)
     assert fast_engine.last_replay_path == expect_path, fast_engine.last_fast_reason
     a, b = scalar.to_dict(), fast.to_dict()
     # Integer counters: bitwise.
@@ -133,9 +188,23 @@ def test_unaligned_single_track_requests():
     assert_parity(trace, nocache_drive)
 
 
-def test_unaligned_multitrack_requests_fall_back_per_request():
-    trace = random_trace(nocache_drive().geometry, 400)
-    scalar, fast = assert_parity(trace, nocache_drive)
+@pytest.mark.parametrize(
+    "mode", [{}, {"scheduler": "sptf", "queue_depth": 4}], ids=["open-fcfs", "closed-sptf-4"]
+)
+@pytest.mark.parametrize("zero_latency", [True, False], ids=["zero-latency", "ordinary"])
+@pytest.mark.parametrize("scheme", SpareScheme.ALL)
+def test_unaligned_multitrack_requests_stay_in_kernel(scheme, zero_latency, mode):
+    specs = small_test_specs(**SMALL).scaled(spare_scheme=scheme, spare_count=6)
+
+    def make_drive():
+        return DiskDrive(
+            specs, cache=FirmwareCache(enable_caching=False), zero_latency=zero_latency
+        )
+
+    trace = multitrack_trace(make_drive().geometry)
+    scalar, fast = assert_parity(
+        trace, make_drive, "kernel_sched" if mode else "kernel", **mode
+    )
     assert scalar.reads > 0 and scalar.writes > 0
 
 

@@ -32,7 +32,7 @@ import random
 
 import pytest
 
-from _numpy_gate import HAVE_NUMPY, needs_numpy
+from _numpy_gate import HAVE_NUMPY, block_numpy, needs_numpy
 from repro.disksim import DiskDrive, FirmwareCache, small_test_specs
 from repro.disksim.sched import Scheduler
 from repro.sim import Trace, TraceReplayEngine
@@ -242,8 +242,6 @@ def test_fcfs_closed_depth1_is_classic_onereq():
 # --------------------------------------------------------------------------- #
 
 def test_numpy_absent_falls_back_to_scalar(monkeypatch):
-    import builtins
-
     from repro.sim import kernel as kernel_module
 
     trace = random_trace(cacheless_drive(), n=60)
@@ -251,17 +249,7 @@ def test_numpy_absent_falls_back_to_scalar(monkeypatch):
         cacheless_drive(), scheduler="sptf", queue_depth=4, fast=False
     ).replay_closed(trace, think_ms=0.0)
 
-    real_import = builtins.__import__
-
-    def blocked_import(name, *args, **kwargs):
-        if name == "numpy" or name.startswith("numpy."):
-            raise ImportError("numpy disabled for this test")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(
-        kernel_module, "_NUMPY_CACHE", kernel_module._NUMPY_UNRESOLVED
-    )
-    monkeypatch.setattr(builtins, "__import__", blocked_import)
+    block_numpy(monkeypatch)
     try:
         engine = TraceReplayEngine(
             cacheless_drive(), scheduler="sptf", queue_depth=4, fast=True

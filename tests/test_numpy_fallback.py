@@ -11,41 +11,17 @@ stream timestamp validation and the replay engine's kernel auto-selection.
 
 from __future__ import annotations
 
-import builtins
 import random
 import warnings
 
 import pytest
 
+from _numpy_gate import block_numpy
 from repro.disksim import DiskDrive, DiskGeometry, small_test_specs
 from repro.disksim.errors import ConfigError
 from repro.sim import Trace, TraceReplayEngine, TraceStream
 
 SMALL = dict(cylinders_per_zone=12, num_zones=3)
-
-
-def block_numpy(monkeypatch) -> list[str]:
-    """Make numpy unimportable and reset the module-level import cache.
-
-    Returns the list of blocked import attempts so tests can assert the
-    import is tried exactly once per process, not once per batch.
-    """
-    from repro.sim import kernel as kernel_module
-
-    attempts = []
-    real_import = builtins.__import__
-
-    def blocked_import(name, *args, **kwargs):
-        if name == "numpy" or name.startswith("numpy."):
-            attempts.append(name)
-            raise ImportError("numpy disabled for this test")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(
-        kernel_module, "_NUMPY_CACHE", kernel_module._NUMPY_UNRESOLVED
-    )
-    monkeypatch.setattr(builtins, "__import__", blocked_import)
-    return attempts
 
 
 @pytest.fixture()

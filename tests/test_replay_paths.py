@@ -5,7 +5,9 @@ every entry point -- ``replay``, ``replay_closed``, ``replay_stream`` and
 ``replay_closed_stream`` over several chunks, and ``run_service`` in one
 chunk and in several -- under FCFS and SPTF, closed depth 1 and 4, and four
 gates: a clean cache-off fleet, a cache-on fleet replaying a trace that
-re-reads its own LBNs, a fault schedule, and ``fast=False``.  Every case
+re-reads its own LBNs, a fault schedule, and ``fast=False``.  One more row
+replays requests that cross track boundaries on a cache-off fleet: they
+stay on the kernel.  Every case
 also equals its ``fast=False`` replay bitwise, so a label can only move
 together with a deliberate change of path.  The rows include the pairs the
 repository benchmark pins (``perfbench/workloads.py``): service FCFS on the
@@ -69,6 +71,8 @@ CASES = [
     pytest.param(entry, policy, depth, gate, pairs[k], id=f"{entry}-{policy}-{depth}-{gate}")
     for entry, policy, depth, pairs in TABLE
     for k, gate in enumerate(GATES)
+] + [
+    pytest.param("replay", "fcfs", 1, "multitrack", KERNEL, id="replay-fcfs-1-multitrack"),
 ]
 
 
@@ -88,7 +92,8 @@ def build_fleet(gate: str) -> LbnRangeShard:
 
 def build_trace(gate: str, fleet: LbnRangeShard) -> Trace:
     """Time-ordered arrivals fast enough to queue.  The reuse trace reads
-    three LBNs over and over, so every chunk re-reads its own LBNs."""
+    three LBNs over and over, so every chunk re-reads its own LBNs; every
+    request of the multitrack trace crosses a track boundary."""
     rng = random.Random(17)
     hot = [rng.randrange(fleet.total_lbns - 64) for _ in range(3)]
     trace = Trace()
@@ -98,7 +103,10 @@ def build_trace(gate: str, fleet: LbnRangeShard) -> Trace:
         if gate == "reuse":
             trace.append(t, rng.choice(hot), 16, "read")
         else:
-            count = rng.choice([1, 8, 64])
+            if gate == "multitrack":
+                count = rng.randint(600, 900)
+            else:
+                count = rng.choice([1, 8, 64])
             op = "read" if rng.random() < 0.7 else "write"
             trace.append(t, rng.randrange(fleet.total_lbns - count), count, op)
     return trace
