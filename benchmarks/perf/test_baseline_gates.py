@@ -1,8 +1,17 @@
 """The perf gates' bookkeeping: committed baselines, sections, history.
 
-No timing here.  These tests pin what the throughput benchmarks do with
+No timing here.  These tests pin how the scheduled gate summarizes its
+timed pairs, and what the throughput benchmarks do with
 ``BENCH_replay.json`` and ``BENCH_history.jsonl``:
 
+* the scheduled gate alternates which side of a pair runs first and reads
+  the median per-pair ratio, so one pair a neighbour slowed does not move
+  it,
+* the scheduled baseline refresh writes the median of its runs and leaves
+  every other byte of the baseline as it was,
+* the committed ``scheduled`` baseline names the measurement the gate
+  makes, so a section measured another way (one run, best-of-3 wall
+  clock) fails,
 * a gate whose section is missing from the committed baseline fails and
   names the section (it used to pass silently),
 * a failing gate names the current and committed rps of both sides of its
@@ -19,6 +28,7 @@ No timing here.  These tests pin what the throughput benchmarks do with
 from __future__ import annotations
 
 import json
+import platform
 import subprocess
 
 import test_replay_throughput as replay
@@ -168,3 +178,92 @@ def test_history_line_records_the_commit(tmp_path, monkeypatch):
     assert record["commit"] == "abc123"
     assert list(record)[:3] == ["timestamp", "commit", "python"]
     assert record["kind"] == "streaming" and record["stream_ratio"] == 1.0
+
+
+def _clocked(log: list, name: str, clock: list, seconds: list):
+    """A run that logs ``name`` and advances ``clock`` by the next of
+    ``seconds``."""
+    durations = iter(seconds)
+
+    def run():
+        log.append(name)
+        clock[0] += next(durations)
+
+    return run
+
+
+def test_scheduled_pairs_alternate_and_gate_on_the_median():
+    clock, log = [0.0], []
+    # Five pairs at 10x, but a neighbour slows the kernel of the third.
+    kernel = _clocked(log, "kernel", clock, [1.0, 1.0, 5.0, 1.0, 1.0])
+    scalar = _clocked(log, "scalar", clock, [10.0] * 5)
+    times = replay.time_pairs(kernel, scalar, 5, clock=lambda: clock[0])
+    assert log == ["kernel", "scalar", "scalar", "kernel"] * 2 + ["kernel", "scalar"]
+    assert times == [(1.0, 10.0), (1.0, 10.0), (5.0, 10.0), (1.0, 10.0), (1.0, 10.0)]
+    row = replay.sched_row(times, 8000)
+    assert row["speedup_vs_scalar"] == 10.0
+    assert row["speedup_q1"] == 6.0 and row["speedup_q3"] == 10.0
+    assert row["kernel_rps"] == 8000.0 and row["scalar_rps"] == 800.0
+    section = {"policies": {"sptf": row}}
+    assert replay._check_sched_floor({}, section) == []
+    assert replay._check_sched_regressions({"scheduled": _sched("sptf")}, section) == []
+    # Slow in most pairs, the kernel fails both gates.
+    slow = {"policies": {"sptf": replay.sched_row([(5.0, 10.0)] * 3 + [(1.0, 10.0)] * 2, 8000)}}
+    (floor,) = replay._check_sched_floor({}, slow)
+    assert floor.startswith("sptf 2.00x: ")
+    assert len(replay._check_sched_regressions({"scheduled": _sched("sptf")}, slow)) == 1
+
+
+def _run_section(speedup: float, kernel_rps: float) -> dict:
+    """One interpreter's ``scheduled`` section with one policy."""
+    return {
+        "requests": replay.SCHED_REQUESTS,
+        "timing": replay.SCHED_TIMING,
+        "pairs": replay.SCHED_PAIRS,
+        "policies": {"sptf": {
+            "speedup_vs_scalar": speedup,
+            "speedup_q1": speedup - 1.0,
+            "speedup_q3": speedup + 1.0,
+            "scalar_rps": kernel_rps / speedup,
+            "kernel_rps": kernel_rps,
+        }},
+    }
+
+
+def _scheduled_block(section: dict) -> str:
+    """The ``scheduled`` key's text in a baseline file."""
+    return '"scheduled": ' + json.dumps(section, indent=2).replace("\n", "\n  ")
+
+
+def test_refresh_writes_the_median_and_only_the_scheduled_key(tmp_path, monkeypatch):
+    monkeypatch.setattr(replay, "head_commit", lambda: "abc123")
+    committed = replay.BENCH_PATH.read_text()
+    path = tmp_path / "BENCH_replay.json"
+    path.write_text(committed)
+    runs = [_run_section(9.0, 90000.0), _run_section(30.0, 300000.0), _run_section(10.0, 80000.0)]
+    section = replay.refresh_scheduled(runs, path)
+    assert section["policies"]["sptf"] == {
+        "speedup_vs_scalar": 10.0,  # the outlier run does not move it
+        "speedup_q1": 9.0,
+        "speedup_q3": 30.0,
+        "scalar_rps": 10000.0,
+        "kernel_rps": 90000.0,
+    }
+    assert (section["timing"], section["pairs"]) == (replay.SCHED_TIMING, replay.SCHED_PAIRS)
+    assert (section["runs"], section["commit"]) == (3, "abc123")
+    assert section["python"] == platform.python_version()
+    written = path.read_text()
+    assert json.loads(written)["scheduled"] == section
+    # Every byte outside the scheduled key is the committed file's.
+    old = json.loads(committed)["scheduled"]
+    assert written.replace(_scheduled_block(section), _scheduled_block(old)) == committed
+    assert replay.BENCH_PATH.read_text() == committed
+
+
+def test_committed_scheduled_baseline_names_the_gates_measurement():
+    section = replay.COMMITTED_BASELINE["scheduled"]
+    assert section.get("timing") == replay.SCHED_TIMING
+    assert section.get("pairs") == replay.SCHED_PAIRS
+    assert section.get("runs", 0) >= replay.SCHED_BASELINE_RUNS
+    assert section["requests"] == replay.SCHED_REQUESTS
+    assert section["queue_depth"] == replay.SCHED_DEPTH

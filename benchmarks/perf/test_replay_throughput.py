@@ -31,21 +31,33 @@ replay of the same trace, which runs the naive loop.
 A second benchmark, :func:`test_scheduled_replay_throughput`, measures the
 event-batched *scheduled* kernel: a depth-8 closed replay of 8000
 track-aligned whole-track reads for every scheduling policy, scalar queue
-loop vs ``kernel_sched``, best-of-3 each.  The scheduled kernel must beat
-the scalar queue loop by >= 8x on every policy, produce bitwise-identical
-``ReplayStats``, and its per-policy speedups are regression-gated at 20 %
-against the committed baseline (same-run normalization again: the speedup
-is a ratio of two runs on the same machine, so it transfers across
-hardware).
+loop vs ``kernel_sched``.  Each policy is timed as :data:`SCHED_PAIRS`
+interleaved pairs, one kernel replay and one scalar replay, in CPU seconds
+of this process (:func:`time_pairs`), and its speedup is the median
+per-pair ratio.  The two sides of a pair run back to back, so a shared host
+that slows down or speeds up between pairs does so for both; CPU time
+leaves out the time the process waits descheduled.  A busy host can still
+slow the two sides by different factors (README, "Regenerating the perf
+baseline"), and a busy phase that lasts a whole run moves its median.
+The scheduled kernel must beat the scalar queue loop by >= 8x on every
+policy, produce bitwise-identical ``ReplayStats``, and its per-policy
+speedups are regression-gated at 20 % against the committed baseline.
+
+The committed ``scheduled`` baseline is the per-policy median of 10
+separate runs of that same measurement, written by
+``refresh_scheduled_baseline.py`` in this directory.  It was measured on a
+2-vCPU x86-64 Linux container under CPython 3.11.7 with numpy 2.4.6; the
+section records the commit and Python it measured.  Whether its ratios
+hold on other hardware or another Python is not known.
 
 The gates only read the committed ``BENCH_replay.json``.  Everything a run
 writes goes to the untracked :data:`OUT_DIR` (CI uploads it): this run's
 sections of ``BENCH_replay.json`` (:func:`write_bench_section`, each
 benchmark its own section), one ``BENCH_history.jsonl`` line per benchmark
 recording the commit measured (:func:`append_history`), and the text
-reports (:func:`write_report`).  A baseline changes only by copying a
-section from there into the committed file by hand, in a change that says
-so.
+reports (:func:`write_report`).  The ``scheduled`` baseline changes only
+through the refresh command, and every other section only by copying it
+from there into the committed file by hand, in a change that says so.
 """
 
 from __future__ import annotations
@@ -56,8 +68,10 @@ import os
 import pathlib
 import platform
 import random
+import statistics
 import time
 
+from compare import quartiles  # perfbench/compare.py, put on sys.path by conftest.py
 from repro import DriveConfig, FleetConfig, build_drive, build_fleet
 from repro.api import stripe_trace
 from repro.disksim import DiskDrive, DiskRequest
@@ -96,6 +110,14 @@ SCHED_DEPTH = 8
 #: every policy (the hardest is SPTF, whose per-candidate positioning
 #: score keeps the most work inside the serial recurrence).
 MIN_SCHED_SPEEDUP = 8.0
+#: Interleaved kernel/scalar pairs timed per policy, after one untimed
+#: replay of each side.
+SCHED_PAIRS = 15
+#: How the scheduled section is measured; the committed baseline names it.
+SCHED_TIMING = "process_time, interleaved pairs, median per-pair ratio"
+#: The committed scheduled baseline is the median of this many runs, each
+#: in its own interpreter (``refresh_scheduled_baseline.py``).
+SCHED_BASELINE_RUNS = 10
 
 def _load_bench(path: pathlib.Path) -> dict:
     try:
@@ -366,25 +388,96 @@ def build_sched_trace(drive: DiskDrive, n: int, seed: int = 1234) -> Trace:
     return trace
 
 
-def _time_sched_replay(trace: Trace, policy: str, fast: bool) -> tuple[float, object]:
-    """Best-of-``REPEATS`` seconds for one policy on one engine path."""
-    best = float("inf")
-    stats = None
-    for _ in range(REPEATS):
-        engine = TraceReplayEngine(
-            build_drive(KERNEL_DRIVE_CONFIG),
-            scheduler=policy,
-            queue_depth=SCHED_DEPTH,
-            fast=fast,
-        )
-        t0 = time.perf_counter()
+def time_pairs(first, second, pairs: int, clock=time.process_time) -> list:
+    """``(first, second)`` seconds of ``pairs`` interleaved runs of two
+    functions.
+
+    Pair ``i`` runs ``first`` before ``second`` when ``i`` is even and after
+    it when ``i`` is odd, so a steady drift in host speed favours neither
+    side.  ``clock`` defaults to this process's CPU time, which leaves out
+    the time the process waits descheduled.  Warm both sides up first: the
+    first run of each pays for per-process tables and caches.
+    """
+    sides = (first, second)
+    times = []
+    for i in range(pairs):
+        spent = [0.0, 0.0]
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            t0 = clock()
+            sides[side]()
+            spent[side] = clock() - t0
+        times.append((spent[0], spent[1]))
+    return times
+
+
+def sched_row(times: list, requests: int) -> dict:
+    """One policy's row of the ``scheduled`` section from its ``(kernel,
+    scalar)`` pair seconds.
+
+    The speedup is the median per-pair ratio, with its quartiles from
+    perfbench's :func:`compare.quartiles`, so a pair that a neighbour
+    slowed does not move it.  Each side's rps is ``requests`` over that
+    side's median seconds."""
+    q1, speedup, q3 = quartiles([scalar / kernel for kernel, scalar in times])
+    return {
+        "speedup_vs_scalar": speedup,
+        "speedup_q1": q1,
+        "speedup_q3": q3,
+        "scalar_rps": requests / statistics.median(s for _, s in times),
+        "kernel_rps": requests / statistics.median(k for k, _ in times),
+    }
+
+
+def _sched_replayer(trace: Trace, policy: str, fast: bool):
+    """A function that replays ``trace`` closed under ``policy`` on one
+    cache-off drive (each replay resets it), checks the path it ran and
+    returns the statistics."""
+    engine = TraceReplayEngine(
+        build_drive(KERNEL_DRIVE_CONFIG),
+        scheduler=policy,
+        queue_depth=SCHED_DEPTH,
+        fast=fast,
+    )
+    expected = "kernel_sched" if fast else "scalar"
+
+    def replay():
         stats = engine.replay_closed(trace, think_ms=0.0)
-        best = min(best, time.perf_counter() - t0)
-        expected = "kernel_sched" if fast else "scalar"
         assert engine.last_replay_path == expected, (
             policy, engine.last_replay_path, engine.last_fast_reason
         )
-    return best, stats
+        return stats
+
+    return replay
+
+
+def measure_scheduled() -> dict:
+    """One run of the scheduled benchmark: this run's ``scheduled`` section.
+
+    Per policy, one untimed replay of each side checks that their
+    statistics are bitwise identical and warms both up; then
+    :func:`time_pairs` times :data:`SCHED_PAIRS` kernel/scalar pairs and
+    :func:`sched_row` summarizes them."""
+    trace = build_sched_trace(build_drive(KERNEL_DRIVE_CONFIG), SCHED_REQUESTS)
+    assert len(trace) == SCHED_REQUESTS
+    # Every request starts on a track boundary and fits inside its track
+    # (build_sched_trace only samples tracks holding >= 256 sectors).
+    assert all(count == 256 for count in trace.counts)
+    section = {
+        "requests": SCHED_REQUESTS,
+        "queue_depth": SCHED_DEPTH,
+        "min_speedup_required": MIN_SCHED_SPEEDUP,
+        "timing": SCHED_TIMING,
+        "pairs": SCHED_PAIRS,
+        "policies": {},
+    }
+    for policy in SCHED_POLICIES:
+        kernel = _sched_replayer(trace, policy, fast=True)
+        scalar = _sched_replayer(trace, policy, fast=False)
+        # The whole point of the kernel: bitwise-identical statistics.
+        assert kernel().to_dict() == scalar().to_dict(), policy
+        times = time_pairs(kernel, scalar, SCHED_PAIRS)
+        section["policies"][policy] = sched_row(times, len(trace))
+    return section
 
 
 def sched_rps_sides(baseline: dict, policy: str, row: dict) -> str:
@@ -419,40 +512,63 @@ def _check_sched_regressions(baseline: dict, section: dict) -> list[str]:
     return failures
 
 
-def test_scheduled_replay_throughput():
-    drive = build_drive(KERNEL_DRIVE_CONFIG)
-    trace = build_sched_trace(drive, SCHED_REQUESTS)
-    assert len(trace) == SCHED_REQUESTS
-    # Every request starts on a track boundary and fits inside its track
-    # (the builder only samples tracks holding >= 256 sectors).
-    assert all(count == 256 for count in trace.counts)
+def _check_sched_floor(baseline: dict, section: dict) -> list[str]:
+    """Each policy whose speedup is under :data:`MIN_SCHED_SPEEDUP`, with
+    both sides' rps."""
+    return [
+        f"{policy} {row['speedup_vs_scalar']:.2f}x: "
+        f"{sched_rps_sides(baseline, policy, row)}"
+        for policy, row in section["policies"].items()
+        if row["speedup_vs_scalar"] < MIN_SCHED_SPEEDUP
+    ]
 
-    section = {
-        "requests": SCHED_REQUESTS,
-        "queue_depth": SCHED_DEPTH,
-        "min_speedup_required": MIN_SCHED_SPEEDUP,
-        "policies": {},
-    }
+
+def refresh_scheduled(runs: list[dict], path: pathlib.Path = BENCH_PATH) -> dict:
+    """Write the median of ``runs`` (:func:`measure_scheduled` sections, one
+    per interpreter) as the ``scheduled`` key of the baseline at ``path``,
+    and return that section.
+
+    Per policy, the speedup and each side's rps are medians over the runs,
+    and ``speedup_q1``/``speedup_q3`` are the quartiles of the runs'
+    speedups.  The section records the run count, the commit and the Python
+    measured.  The file is rewritten as ``json.dumps(..., indent=2)``, the
+    form it is committed in, so every other key keeps its bytes."""
+    policies = {}
+    for policy in runs[0]["policies"]:
+        rows = [run["policies"][policy] for run in runs]
+        q1, speedup, q3 = quartiles([row["speedup_vs_scalar"] for row in rows])
+        policies[policy] = {
+            "speedup_vs_scalar": speedup,
+            "speedup_q1": q1,
+            "speedup_q3": q3,
+            "scalar_rps": statistics.median(row["scalar_rps"] for row in rows),
+            "kernel_rps": statistics.median(row["kernel_rps"] for row in rows),
+        }
+    section = {key: value for key, value in runs[0].items() if key != "policies"}
+    section.update(
+        runs=len(runs),
+        commit=head_commit(),
+        python=platform.python_version(),
+        policies=policies,
+    )
+    baseline = json.loads(path.read_text())
+    baseline["scheduled"] = section
+    path.write_text(json.dumps(baseline, indent=2) + "\n")
+    return section
+
+
+def test_scheduled_replay_throughput():
+    section = measure_scheduled()
     lines = [
-        "Scheduled replay throughput (scalar queue loop vs kernel_sched)",
+        "Scheduled replay throughput (scalar queue loop vs kernel_sched; "
+        f"CPU time, median of {section['pairs']} interleaved pairs [q1, q3])",
         f"  trace: {SCHED_REQUESTS} whole-track reads, depth {SCHED_DEPTH}, {MODEL}",
     ]
-    for policy in SCHED_POLICIES:
-        kernel_s, kernel_stats = _time_sched_replay(trace, policy, fast=True)
-        scalar_s, scalar_stats = _time_sched_replay(trace, policy, fast=False)
-        # The whole point of the kernel: bitwise-identical statistics.
-        assert kernel_stats.to_dict() == scalar_stats.to_dict(), policy
-        speedup = scalar_s / kernel_s
-        section["policies"][policy] = {
-            "scalar_seconds": scalar_s,
-            "kernel_seconds": kernel_s,
-            "scalar_rps": len(trace) / scalar_s,
-            "kernel_rps": len(trace) / kernel_s,
-            "speedup_vs_scalar": speedup,
-        }
+    for policy, row in section["policies"].items():
         lines.append(
-            f"  {policy:9s}: {len(trace) / kernel_s:>10.0f} rps kernel_sched, "
-            f"{len(trace) / scalar_s:>8.0f} rps scalar  ({speedup:.2f}x)"
+            f"  {policy:9s}: {row['kernel_rps']:>10.0f} rps kernel_sched, "
+            f"{row['scalar_rps']:>8.0f} rps scalar  ({row['speedup_vs_scalar']:.2f}x "
+            f"[{row['speedup_q1']:.2f}, {row['speedup_q3']:.2f}])"
         )
     lines.append(
         f"  artifacts: {RUN_PATH.relative_to(REPO_ROOT)}, "
@@ -467,12 +583,7 @@ def test_scheduled_replay_throughput():
     write_bench_section({"scheduled": section})
     regressions = _check_sched_regressions(COMMITTED_BASELINE, section)
 
-    slow = [
-        f"{policy} {row['speedup_vs_scalar']:.2f}x: "
-        f"{sched_rps_sides(COMMITTED_BASELINE, policy, row)}"
-        for policy, row in section["policies"].items()
-        if row["speedup_vs_scalar"] < MIN_SCHED_SPEEDUP
-    ]
+    slow = _check_sched_floor(COMMITTED_BASELINE, section)
     assert not slow, (
         f"kernel_sched below the {MIN_SCHED_SPEEDUP}x floor vs the scalar "
         f"queue loop: {'; '.join(slow)}"
