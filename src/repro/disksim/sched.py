@@ -275,14 +275,13 @@ class Scheduler:
     def push(self, request: DiskRequest, issue_time: float) -> None:
         """Admit one request to the pending queue.
 
-        A request past the bound drive's capacity raises the drive's
-        :class:`~repro.disksim.errors.RequestError` and is not admitted.
+        Nothing is checked here: the replay loop checks every row before
+        it is pushed.
         """
         if self.drive is None:
             raise SchedulerError(
                 f"scheduler {self.name!r} is not bound to a drive"
             )
-        self.drive._validate(request)
         entry = QueuedRequest(request, issue_time, self._seq)
         self._seq += 1
         entry.annotate(self.drive)

@@ -139,11 +139,7 @@ class TraceReplayEngine:
     ``"defective geometry"``,
     ``"out-of-order bus"``,
     ``"firmware-cache-sensitive reuse"`` or
-    ``"scheduler not kernel-vectorizable"``.  A trace holding an invalid
-    request (unknown opcode, non-positive count, negative LBN, or past the
-    fleet's capacity) reports nothing: the replay raises
-    :class:`~repro.disksim.errors.RequestError` for that request.
-    Streaming replays
+    ``"scheduler not kernel-vectorizable"``.  Streaming replays
     (:meth:`replay_stream`/:meth:`replay_closed_stream`) may additionally
     report ``last_replay_path == "mixed"`` (kernel and scalar chunks in
     one stream) and the refusal
@@ -164,7 +160,15 @@ class TraceReplayEngine:
     Every replay runs through the one replay loop of :mod:`repro.sim.stream`
     (a one-shot replay is a one-chunk stream), so its timestamps are checked
     like a stream's: a NaN or negative one raises
-    :class:`~repro.disksim.errors.ConfigError` naming its index.
+    :class:`~repro.disksim.errors.ConfigError` naming its index.  That loop
+    also checks every request row once, before any row of its chunk is
+    served: an unknown opcode, a count that is not an integer above 0, an
+    LBN that is not an integer >= 0, or a request past the fleet's capacity
+    raises :class:`~repro.disksim.errors.RequestError` naming the row's
+    index (``"request #1: LBN -1 is negative"``), with the same message on
+    any fleet, path and discipline.  A replay that raises reports nothing:
+    it clears :attr:`last_replay_path` and :attr:`last_fast_reason` to
+    ``None`` when it starts.
 
     ``queue_depth`` applies to closed replay only: each drive keeps up to
     that many requests outstanding (admitting the next trace request when
@@ -228,6 +232,7 @@ class TraceReplayEngine:
         per-shard column.  Single-drive fleets reuse the trace columns
         directly; multi-drive fleets take the inlined single-shard routing
         with the general splitting path for boundary-crossing requests.
+        The replay loop has checked every row, so none is out of range.
         """
         fleet = self.fleet
         n_shards = len(fleet)
@@ -256,7 +261,7 @@ class TraceReplayEngine:
             # Inlined single-shard routing; boundary-crossing requests
             # take the general (splitting, counted) path.
             shard = bisect(starts, lbn) - 1
-            if 0 <= shard < n_shards and lbn + count <= ends[shard] and lbn >= 0:
+            if lbn + count <= ends[shard]:
                 shard_ops[shard].append(op)
                 shard_lbns[shard].append(lbn - starts[shard])
                 shard_counts[shard].append(count)

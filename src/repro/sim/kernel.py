@@ -12,9 +12,11 @@ two phases:
   numpy array math up front: LBN -> (track, cylinder, surface, slot)
   translation (``searchsorted`` over the per-track tables), seek-curve
   evaluation (a per-curve lookup table), media-transfer and bus-transfer
-  columns, request validation and shard routing (a request that crosses
-  a shard boundary is split into one piece per drive, as
-  :meth:`~repro.sim.shard.LbnRangeShard.route` splits it);
+  columns, and shard routing (a request that crosses a shard boundary is
+  split into one piece per drive, as
+  :meth:`~repro.sim.shard.LbnRangeShard.route` splits it).  The columns
+  arrive checked: the replay loop refuses a chunk holding an invalid row
+  before any of it is served;
 * **serial recurrence** -- only the state that genuinely chains from one
   request to the next (actuator free time, bus free time, head position,
   queue admission and the rotation-phase-dependent latency) runs in a
@@ -79,6 +81,7 @@ from __future__ import annotations
 
 import warnings
 import weakref
+from array import array
 from typing import TYPE_CHECKING
 
 from ..disksim.drive import READ, WRITE
@@ -293,36 +296,33 @@ def fleet_eligibility(fleet: "LbnRangeShard") -> "str | None":
     return None
 
 
-def trace_columns(np, fleet: "LbnRangeShard", ordered: "Trace"):
-    """Validated numpy columns for a trace already in admission order.
+def trace_columns(np, ordered: "Trace"):
+    """The kernel's numpy columns of a trace chunk in admission order:
+    ``(lbns, counts, issue, op_codes)``.
 
-    Returns ``(lbns, counts, issue, is_read)``, or ``None`` when some row
-    has an unknown opcode, a non-positive count, a negative LBN or runs
-    past the fleet's capacity.  No refusal reason is given: the scalar
-    oracle that serves the chunk instead raises
-    :class:`~repro.disksim.errors.RequestError` for that row.
+    ``lbns`` and ``counts`` are int64, converted strictly: a value that is
+    not an integer (one :func:`operator.index` refuses, such as ``100.5``
+    or ``8.0``, which numpy would truncate) raises :class:`TypeError`, and
+    one outside int64 :class:`OverflowError`.  ``issue`` is float64 and
+    ``op_codes`` int8 (0 read, 1 write, 2 any other opcode).  Nothing else
+    is checked here: the replay loop's row check
+    (:func:`repro.sim.stream._check_rows`) reads these columns.
     """
-    lbns = np.asarray(ordered.lbns, dtype=np.int64)
-    counts = np.asarray(ordered.counts, dtype=np.int64)
-    issue = np.asarray(ordered.issue_ms, dtype=np.float64)
-    n = int(lbns.shape[0])
     op_codes = np.fromiter(
         (0 if op == READ else (1 if op == WRITE else 2) for op in ordered.ops),
         dtype=np.int8,
-        count=n,
+        count=len(ordered.ops),
     )
-    if (
-        (op_codes == 2).any()
-        or counts.min() <= 0
-        or lbns.min() < 0
-        or int((lbns + counts).max()) > fleet.total_lbns
-    ):
-        return None
-    return lbns, counts, issue, op_codes == 0
+    return (
+        np.frombuffer(array("q", ordered.lbns), dtype=np.int64),
+        np.frombuffer(array("q", ordered.counts), dtype=np.int64),
+        np.asarray(ordered.issue_ms, dtype=np.float64),
+        op_codes,
+    )
 
 
 def shard_split(np, fleet: "LbnRangeShard", lbns, counts, issue, is_read):
-    """Split validated columns into per-shard local columns.
+    """Split checked columns into per-shard local columns.
 
     Returns ``(shard_cols, split)``: one ``(lbns, counts, issue, is_read)``
     tuple per drive, LBNs shard-local and rows in trace order, and the
@@ -361,22 +361,20 @@ def shard_split(np, fleet: "LbnRangeShard", lbns, counts, issue, is_read):
     return shard_cols, split
 
 
-def eligible_shard_columns(np, fleet: "LbnRangeShard", ordered: "Trace"):
-    """Kernel-eligible per-shard columns of a trace in admission order.
+def eligible_shard_columns(np, fleet: "LbnRangeShard", columns):
+    """Kernel-eligible per-shard columns of a checked chunk.
 
-    Returns ``(shard_cols, split, None)`` as :func:`shard_split` does,
-    ``(None, 0, None)`` when :func:`trace_columns` refuses the chunk, or
-    ``(None, 0, reason)`` from the cache gates: every read must be a
-    guaranteed miss, both against the other reads of
-    its shard (:func:`_cache_sensitive`) and against what the drive's cache
-    holds now (:func:`warm_cache_clean`; a replay that resets the fleet
-    checks a pristine cache, which always passes).  Nothing here touches
-    the fleet: the caller adds the routing counters
-    (:func:`count_routing`) once it commits to the columns.
+    ``columns`` are the chunk's ``(lbns, counts, issue, is_read)`` in
+    admission order, as the replay loop's row check returns them.  Returns
+    ``(shard_cols, split, None)`` as :func:`shard_split` does, or ``(None,
+    0, reason)`` from the cache gates: every read must be a guaranteed
+    miss, both against the other reads of its shard
+    (:func:`_cache_sensitive`) and against what the drive's cache holds now
+    (:func:`warm_cache_clean`; a replay that resets the fleet checks a
+    pristine cache, which always passes).  Nothing here touches the fleet:
+    the caller adds the routing counters (:func:`count_routing`) once it
+    commits to the columns.
     """
-    columns = trace_columns(np, fleet, ordered)
-    if columns is None:
-        return None, 0, None
     shard_cols, split = shard_split(np, fleet, *columns)
     for (lbns, counts, _issue, is_read), drive in zip(shard_cols, fleet.drives):
         if _cache_sensitive(np, drive.cache, lbns, counts, is_read) or (
@@ -605,7 +603,8 @@ def _service_shard(
     transfer_sum = acc.transfer
     bus_sum = acc.bus
     overlap_sum = acc.overlap
-    busy_sum = busy_start = acc.busy
+    busy_sum = acc.busy
+    drive_busy = drive.stats.busy_ms
     act_free = drive.actuator_free
     b_free = drive.bus_free
     # The head sits on the end track of the previous dispatch,
@@ -928,6 +927,7 @@ def _service_shard(
         overlap_sum += overlap
         if busy > 0.0:
             busy_sum += busy
+            drive_busy += busy
         completions[idx] = completion
         prev = idx
 
@@ -953,10 +953,9 @@ def _service_shard(
     stats.writes += n - reads
     stats.sectors_read += int(counts[is_read].sum())
     stats.sectors_written += int(counts[~is_read].sum())
-    # The ReplayStats breakdown uses the fold, which runs in service order
-    # and is therefore bitwise identical to the scalar path; the drive's
-    # own cumulative counter gets the shard's share in one addition.
-    stats.busy_ms += busy_sum - busy_start
+    # Both busy folds run per row in service order, as DiskDrive._account
+    # adds to the drive's counter, so each matches the scalar path bitwise.
+    stats.busy_ms = drive_busy
 
     acc.seek = seek_sum
     acc.settle = settle_sum

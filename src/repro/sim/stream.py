@@ -15,7 +15,9 @@ A one-shot replay (:meth:`TraceReplayEngine.replay` /
 :meth:`TraceReplayEngine.replay_closed`, served by :func:`replay_once`) is
 a one-chunk stream through the same loop, and every replay -- one-shot
 or streamed, kernel or scalar -- folds its results through the one
-aggregator here, :class:`_StreamAggregator`.
+aggregator here, :class:`_StreamAggregator`.  Every request row is checked
+once, by :func:`_check_rows`, as its chunk enters the loop and before any
+row of that chunk is served.
 
 Path selection lives in :func:`_kernel_gate` (replay-wide) and
 :func:`_replay` (per chunk).  Each chunk runs on the columnar kernel
@@ -47,11 +49,12 @@ fraction, saturation throughput and per-drive queue-depth time series.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from ..disksim.drive import DiskRequest
+from ..disksim.drive import READ, WRITE, DiskRequest
 from ..disksim.errors import ConfigError, RequestError
 from ..faults import fleet_fault_extras
 from .kernel import (
@@ -60,6 +63,7 @@ from .kernel import (
     count_routing,
     eligible_shard_columns,
     fleet_eligibility,
+    trace_columns,
 )
 from .trace import Trace
 
@@ -89,6 +93,8 @@ class TraceStream:
     streaming) **non-monotonic** timestamps fail too -- with a loud
     :class:`~repro.disksim.errors.ConfigError` naming the offending global
     request index, instead of corrupting replay ordering silently.
+    ``validate=False`` skips these timestamp checks only: the replay loop
+    checks every row's request (:func:`_check_rows`) whatever the stream.
 
     A stream is single-use: it can be iterated once.
     """
@@ -182,6 +188,83 @@ class TraceStream:
                     prev = t
         if self.require_ordered:
             self._last_ts = times[-1]
+
+
+# --------------------------------------------------------------------------- #
+# The request check
+# --------------------------------------------------------------------------- #
+
+def _row_problem(op, lbn, count, capacity: int) -> "str | None":
+    """What makes one request row invalid, or None for a valid row.
+
+    The rule, checked in this order: the opcode is ``read`` or ``write``;
+    the count is an integer above 0; the LBN is an integer >= 0; and LBN +
+    count is at most ``capacity``, the fleet's.  "Integer" means what
+    :func:`operator.index` accepts: numpy integers pass, ``8.0`` does not.
+    """
+    if op not in (READ, WRITE):
+        return f"unknown opcode {op!r}"
+    try:
+        count = operator.index(count)
+    except TypeError:
+        return f"count {count!r} is not an integer"
+    if count <= 0:
+        return f"count {count} is not positive"
+    try:
+        lbn = operator.index(lbn)
+    except TypeError:
+        return f"LBN {lbn!r} is not an integer"
+    if lbn < 0:
+        return f"LBN {lbn} is negative"
+    if lbn + count > capacity:
+        return f"[{lbn}, {lbn + count}) exceeds fleet capacity of {capacity} sectors"
+    return None
+
+
+def _check_rows(np, capacity: int, chunk: "Trace", base: int):
+    """The replay loop's one request check, run on each chunk before any
+    of its rows is served.
+
+    Raises :class:`~repro.disksim.errors.RequestError` for the chunk's
+    first invalid row (see :func:`_row_problem`), named by its global index
+    ``base + k``.  With numpy, vectorized tests over :func:`trace_columns`
+    find that row, and the check returns those columns as the kernel takes
+    them, ``(lbns, counts, issue, is_read)``.  Without numpy, or when a
+    row's LBN or count does not convert to int64, the rule itself runs row
+    by row; without numpy the check returns None.
+    """
+    rows = range(len(chunk))
+    if np is not None:
+        try:
+            lbns, counts, issue, op_codes = trace_columns(np, chunk)
+        except (TypeError, OverflowError):
+            pass  # some row's LBN or count is no int64: the rule names it
+        else:
+            # ``capacity - counts``: ``lbns + counts`` could overflow int64.
+            bad = (op_codes == 2) | (counts <= 0) | (lbns < 0)
+            bad |= lbns > capacity - counts
+            rows = np.flatnonzero(bad)[:1].tolist()
+    for k in rows:
+        problem = _row_problem(chunk.ops[k], chunk.lbns[k], chunk.counts[k], capacity)
+        if problem is not None:
+            raise RequestError(f"request #{base + k}: {problem}")
+    if np is None:
+        return None
+    return lbns, counts, issue, op_codes == 0
+
+
+def _in_arrival_order(chunk: "Trace", columns):
+    """``chunk`` and its checked ``columns`` stably sorted by issue time."""
+    order = sorted(range(len(chunk)), key=chunk.issue_ms.__getitem__)
+    chunk = Trace(
+        *(
+            [column[k] for k in order]
+            for column in (chunk.issue_ms, chunk.lbns, chunk.counts, chunk.ops)
+        )
+    )
+    if columns is not None:
+        columns = tuple(column[order] for column in columns)
+    return chunk, columns
 
 
 # --------------------------------------------------------------------------- #
@@ -713,7 +796,12 @@ def _replay(
     """Replay ``stream`` in ``mode`` on ``engine``'s fleet; returns
     ``(stats, aggregator)``.
 
-    The one chunk loop behind every replay.  Each chunk runs on the kernel
+    The one chunk loop behind every replay.  Each chunk it pulls is checked
+    first (:func:`_check_rows`): a chunk holding an invalid row raises
+    :class:`~repro.disksim.errors.RequestError` naming the row's global
+    index before any of its rows is served.  A one-shot open chunk is
+    checked in the caller's row order, then sorted into arrival order.
+    Each chunk then runs on the kernel
     (:func:`repro.sim.kernel._service_shard`, per shard) when the
     replay-wide :func:`_kernel_gate` and the chunk's
     :func:`~repro.sim.kernel.eligible_shard_columns` allow it, and
@@ -722,10 +810,13 @@ def _replay(
     chunk.  The next chunk is pulled only after the current one is
     served.  A scheduled replay runs on the kernel only ``one_shot`` (one
     chunk), since the kernel cannot carry its pending queue across chunks.
-    Sets the engine's ``last_replay_path``/``last_fast_reason``.
+    Clears the engine's ``last_replay_path``/``last_fast_reason`` when it
+    starts and sets them when it finishes, so a replay that raises reports
+    nothing.
     """
     from ..disksim.sched import FCFSScheduler
 
+    engine.last_replay_path = engine.last_fast_reason = None
     fleet = engine.fleet
     if reset:
         fleet.reset()
@@ -740,11 +831,17 @@ def _replay(
     policy = engine.scheduler if scheduled else FCFSScheduler()
     kernel_chunks = scalar_chunks = forced = 0
     for chunk in _counted(agg, stream):
+        base = agg.trace_requests - len(chunk)
+        # Checked with numpy whenever it imports, kernel or not.
+        checked = _check_rows(_numpy(), fleet.total_lbns, chunk, base)
+        if one_shot and mode == "open" and not chunk.is_time_ordered():
+            chunk, checked = _in_arrival_order(chunk, checked)
         shard_cols = None
         if np is not None:
-            shard_cols, split, reason = eligible_shard_columns(np, fleet, chunk)
+            shard_cols, split, reason = eligible_shard_columns(np, fleet, checked)
             if refusal is None:
                 refusal = reason
+        del checked  # served from the chunk or shard_cols: free the unsplit columns
         if shard_cols is None:
             scalar_chunks += 1
             oracle.serve(chunk)
@@ -788,13 +885,10 @@ def replay_once(
 ) -> "ReplayStats":
     """One-shot replay (see :meth:`TraceReplayEngine.replay` and
     :meth:`TraceReplayEngine.replay_closed`): ``trace`` as a one-chunk
-    stream.  A NaN or negative timestamp raises :class:`ConfigError`."""
-    # Check the timestamps before sorting, so an error names the index in
-    # the caller's trace.
-    list(TraceStream([trace], require_ordered=False))
-    if mode == "open" and not trace.is_time_ordered():
-        trace = trace.sorted_by_issue()
-    stream = TraceStream([trace], validate=False)
+    stream.  A NaN or negative timestamp raises :class:`ConfigError`, an
+    invalid request :class:`RequestError`, each naming the row's index in
+    ``trace`` (an open replay sorts the trace only after both checks)."""
+    stream = TraceStream([trace], require_ordered=False)
     stats, _agg = _replay(engine, stream, mode, think_ms, reset, one_shot=True)
     return stats
 

@@ -31,6 +31,7 @@ from repro.disksim.sched import make_scheduler
 from repro.disksim.specs import SpareScheme
 from repro.sim import LbnRangeShard, Trace, TraceReplayEngine
 from repro.sim.kernel import eligible_shard_columns
+from repro.sim.stream import _check_rows
 
 SMALL = dict(cylinders_per_zone=12, num_zones=3)
 
@@ -424,7 +425,8 @@ def test_kernel_refusal_reports_reason_without_mutating_fleet():
     fleet = LbnRangeShard([drive])
     first, count = drive.geometry.track_bounds(0)
     trace = Trace.from_records([(0.0, first, count, "read")] * 5)
-    shard_cols, split, reason = eligible_shard_columns(np, fleet, trace)
+    columns = _check_rows(np, fleet.total_lbns, trace, 0)
+    shard_cols, split, reason = eligible_shard_columns(np, fleet, columns)
     assert shard_cols is None
     assert reason == "firmware-cache-sensitive reuse"
     assert drive.stats.requests == 0  # eligibility never touches the fleet

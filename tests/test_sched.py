@@ -8,6 +8,7 @@ in ``options["scheduler"]`` / ``Scenario.scheduler()`` are covered here too.
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from repro.disksim import (
     DiskDrive,
     DiskRequest,
     FCFSScheduler,
+    FirmwareCache,
     SchedulerError,
     SPTFScheduler,
     SSTFScheduler,
@@ -90,14 +92,6 @@ class TestDriveQueue:
     def test_push_on_unbound_scheduler_raises(self):
         with pytest.raises(SchedulerError, match="not bound"):
             SSTFScheduler().push(DiskRequest.read(0, 16), 0.0)
-
-    def test_enqueue_validates_capacity(self, small_drive):
-        sched = FCFSScheduler()
-        sched.bind(small_drive)
-        total = small_drive.geometry.total_lbns
-        with pytest.raises(RequestError, match="exceeds device capacity"):
-            sched.push(DiskRequest.read(total - 1, 16), 0.0)
-        assert len(sched) == 0
 
     def test_pending_and_dispatch(self, small_drive):
         sched = FCFSScheduler()
@@ -198,6 +192,36 @@ class TestSelectionOrder:
             first_a + 2 * third,
             first_b,
         ]
+
+    def test_sptf_picks_least_positioning_time(self, small_specs):
+        # Single-track reads on a cache-off drive without zero-latency
+        # firmware, the head off cylinder 0: each pick must have the least
+        # positioning time that submit reports for the candidates on a copy
+        # of the drive, ties going to the earliest admitted request.
+        drive = DiskDrive(
+            small_specs, cache=FirmwareCache(enable_caching=False), zero_latency=False
+        )
+        drive.head_cylinder = 7
+        geometry = drive.geometry
+        rng = random.Random(17)
+        entries = []
+        while len(entries) < 12:
+            first, count = geometry.track_bounds(rng.randrange(geometry.num_tracks))
+            if count:
+                sectors = rng.randint(1, count)
+                entries.append((first + rng.randrange(count - sectors + 1), sectors, 0.0))
+        entries.append(entries[5])  # an exact tie
+        sched = _queue_on(drive, "sptf", entries)
+        while len(sched):
+            candidates = list(sched.queue)
+            costs = [
+                copy.deepcopy(drive).submit(e.request, e.issue_time).positioning_ms
+                for e in candidates
+            ]
+            least = min(range(len(candidates)), key=lambda k: (costs[k], candidates[k].seq))
+            entry = sched.pop(0.0)
+            assert entry is candidates[least]
+            drive.submit(entry.request, entry.issue_time)
 
     def test_deterministic_tie_break_by_sequence(self, small_drive):
         # Two identical requests: every policy must pick the earlier one.

@@ -7,9 +7,10 @@ import random
 
 import pytest
 
+from _numpy_gate import HAVE_NUMPY, block_numpy
 from repro.analysis.stats import percentile, percentiles, summarize
 from repro.api import DriveConfig, ScenarioConfig, WorkloadConfig, run_scenario
-from repro.disksim import DiskDrive, DiskGeometry, DiskRequest, RequestError
+from repro.disksim import DiskDrive, DiskGeometry, DiskRequest, FirmwareCache, RequestError
 from repro.disksim.errors import ConfigError
 from repro.sim import LbnRangeShard, Trace, TraceReplayEngine, TraceRecordingDrive
 from repro.sim.stream import _StreamAggregator
@@ -149,21 +150,28 @@ INVALID_REQUESTS = [
     pytest.param(-1, 8, "read", id="negative-lbn"),
     pytest.param(lambda total: total - 7, 8, "read", id="past-capacity"),
     pytest.param(lambda total: total, 8, "read", id="starts-past-capacity"),
+    pytest.param(100.5, 8, "read", id="non-integer-lbn"),
+    pytest.param(64, 8.0, "read", id="non-integer-count"),
 ]
 
 
-def rejection(n_drives: int, total: int, lbn: int, count: int, op: str) -> str:
-    """The message a replay raises for an invalid row: the request's own
-    checks come first, then the capacity check of the fleet router (several
-    drives) or of the drive (one drive, whose fleet routes unchecked)."""
+def rejection(index: int, total: int, lbn, count, op: str) -> str:
+    """The message a replay raises for an invalid row: the rule checks the
+    opcode, then the count, then the LBN, then the fleet's capacity, and
+    the message names the row, whatever the fleet size."""
     if op == "erase":
-        return "unknown opcode 'erase'"
-    if count <= 0:
-        return "request count must be positive"
-    if lbn < 0 and n_drives == 1:
-        return "request LBN must be non-negative"
-    owner = "fleet" if n_drives > 1 else "device"
-    return f"request [{lbn}, {lbn + count}) exceeds {owner} capacity of {total} sectors"
+        problem = "unknown opcode 'erase'"
+    elif isinstance(count, float):
+        problem = f"count {count!r} is not an integer"
+    elif count <= 0:
+        problem = f"count {count} is not positive"
+    elif isinstance(lbn, float):
+        problem = f"LBN {lbn!r} is not an integer"
+    elif lbn < 0:
+        problem = f"LBN {lbn} is negative"
+    else:
+        problem = f"[{lbn}, {lbn + count}) exceeds fleet capacity of {total} sectors"
+    return f"request #{index}: {problem}"
 
 
 #: Every replay discipline: ``(mode, policy, closed queue depth)``.
@@ -176,26 +184,75 @@ DISCIPLINES = [
 ]
 
 
+@pytest.mark.filterwarnings("ignore:numpy is not installed")
 @pytest.mark.parametrize("fast", [None, False])
 @pytest.mark.parametrize("n_drives", [1, 3])
 @pytest.mark.parametrize("lbn,count,op", INVALID_REQUESTS)
-def test_replay_rejects_invalid_requests(small_specs, n_drives, fast, lbn, count, op):
-    """Every discipline raises the same error for the same invalid row."""
+def test_replay_rejects_invalid_requests(
+    small_specs, monkeypatch, n_drives, fast, lbn, count, op
+):
+    """Every discipline raises the same error for the same invalid row, with
+    numpy and without, before any drive serves a row of its chunk."""
+    for blocked in (False, True):
+        with monkeypatch.context() as patch:
+            if blocked:
+                block_numpy(patch)
+            for mode, policy, depth in DISCIPLINES:
+                case = (blocked, mode, policy, depth)
+                fleet = LbnRangeShard([DiskDrive(small_specs) for _ in range(n_drives)])
+                row_lbn = lbn(fleet.total_lbns) if callable(lbn) else lbn
+                # The constructor takes the columns as given; Trace.append
+                # would refuse.
+                trace = Trace([0.0, 1.0], [0, row_lbn], [8, count], ["read", op])
+                engine = TraceReplayEngine(
+                    fleet, fast=fast, scheduler=policy, queue_depth=depth
+                )
+                replay = engine.replay if mode == "open" else engine.replay_closed
+                with pytest.raises(RequestError) as error:
+                    replay(trace)
+                message = rejection(1, fleet.total_lbns, row_lbn, count, op)
+                assert str(error.value) == message, case
+                served = [drive.stats.requests for drive in fleet.drives]
+                assert served == [0] * n_drives, case
+
+
+@pytest.mark.parametrize("fast", [None, False])
+@pytest.mark.parametrize("n_drives", [1, 3])
+def test_streamed_replay_names_the_global_row(small_specs, n_drives, fast):
+    """A bad row in a stream's second 37-row chunk is named by its index in
+    the whole stream, and no row of that chunk is served."""
     for mode, policy, depth in DISCIPLINES:
         fleet = LbnRangeShard([DiskDrive(small_specs) for _ in range(n_drives)])
-        row_lbn = lbn(fleet.total_lbns) if callable(lbn) else lbn
-        message = rejection(n_drives, fleet.total_lbns, row_lbn, count, op)
-        # The constructor takes the columns as given; Trace.append would refuse.
-        trace = Trace([0.0, 1.0], [0, row_lbn], [8, count], ["read", op])
+        trace = make_random_trace(
+            DiskGeometry(small_specs), 74, seed=5, interarrival_ms=2.0,
+            lbn_span=(0, fleet.total_lbns),
+        )
+        trace.lbns[40] = -3
         engine = TraceReplayEngine(
             fleet, fast=fast, scheduler=policy, queue_depth=depth
         )
-        try:
-            (engine.replay if mode == "open" else engine.replay_closed)(trace)
-        except RequestError as error:
-            assert str(error) == message, (mode, policy, depth)
+        if mode == "open":
+            replay = engine.replay_stream
         else:
-            pytest.fail(f"{mode} {policy} depth {depth} accepted the row")
+            replay = engine.replay_closed_stream
+        with pytest.raises(RequestError, match=r"^request #40: LBN -3 is negative$"):
+            replay(trace.iter_chunks(37))
+        served = sum(drive.stats.requests for drive in fleet.drives)
+        assert served <= 37, (mode, policy, depth)
+
+
+def test_failed_replay_reports_no_path(small_specs):
+    """A replay that raises leaves no path label from an earlier replay."""
+    drive = DiskDrive(small_specs, cache=FirmwareCache(enable_caching=False))
+    engine = TraceReplayEngine(drive)
+    engine.replay(make_random_trace(drive.geometry, 20, seed=3))
+    if HAVE_NUMPY:
+        assert (engine.last_replay_path, engine.last_fast_reason) == ("kernel", "ok")
+    invalid = Trace([0.0, 1.0], [0, -1], [8, 8], ["read", "read"])
+    with pytest.raises(RequestError, match="request #1: LBN -1 is negative"):
+        engine.replay(invalid)
+    assert engine.last_replay_path is None
+    assert engine.last_fast_reason is None
 
 
 # --------------------------------------------------------------------------- #

@@ -437,6 +437,39 @@ def test_aggregator_fold_continues_across_chunks():
     assert one_chunk == 0.0 + 1e16 + 1.0 + -1e16
 
 
+def multitrack_trace(fleet: LbnRangeShard, seed: int) -> Trace:
+    """150 rows 3 ms apart, 70% reads: 37 of 8 sectors, then 200, 700 or
+    2,500 sectors each."""
+    rng = random.Random(seed)
+    trace = Trace()
+    for i in range(150):
+        count = 8 if i < 37 else rng.choice((200, 700, 2500))
+        lbn = rng.randrange(fleet.total_lbns - count)
+        trace.append(i * 3.0, lbn, count, "read" if rng.random() < 0.7 else "write")
+    return trace
+
+
+@pytest.mark.parametrize(
+    "n_drives,seed,mode",
+    [(1, 40, "open"), (2, 4, "open"), (2, 16, "closed"), (3, 29, "open"), (3, 29, "closed")],
+)
+def test_streamed_drive_counters_match_scalar(n_drives, seed, mode):
+    """After a stream in 37-row chunks, every drive's ``DriveStats`` equals
+    a ``fast=False`` replay's bitwise: the kernel adds each row's busy time
+    to the drive's counter in service order, as ``DiskDrive._account``
+    does."""
+    trace = multitrack_trace(build_fleet(n_drives, caching=False), seed)
+    drive_stats = []
+    for fast in (None, False):
+        engine = TraceReplayEngine(build_fleet(n_drives, caching=False), fast=fast)
+        if mode == "open":
+            engine.replay_stream(trace.iter_chunks(37))
+        else:
+            engine.replay_closed_stream(trace.iter_chunks(37))
+        drive_stats.append([drive.stats for drive in engine.fleet.drives])
+    assert drive_stats[0] == drive_stats[1]
+
+
 @needs_numpy
 def test_stream_warm_cache_reuse_falls_back_bitwise():
     """Reads that revisit LBNs cached by *earlier chunks* must leave the
