@@ -1,11 +1,12 @@
 """Campaign startup benchmark: the drive-build cache.
 
-Every point of a campaign builds its fleet before replaying anything, and
-before PR 4 that meant re-deriving the full :class:`DiskGeometry` (zones,
-spare slots, per-track tables) and re-fitting the seek curve for every
-drive of every point, in every worker process.  The factory now memoizes
-both per :class:`DiskSpecs`, so the N points of a sweep share one
-geometry.
+Every point of a campaign builds its fleet before replaying anything.
+Uncached, that means building a :class:`DiskGeometry` (zones, spare slots,
+per-track tables, one zone pattern at a time) and fitting the seek curve
+for every drive of every point, in every worker process: a few
+milliseconds per drive for the full-size model.  The factory memoizes both
+per :class:`DiskSpecs`, so the N points of a sweep share one geometry and
+a cached point only wires up fresh drive state.
 
 This benchmark measures per-point setup time for a 16-point campaign over
 the full-size reference model, cached vs uncached, writes the numbers to

@@ -7,14 +7,17 @@ with *exactly* the same arguments as ``DiskDrive(specs)``, so facade-built
 experiments are bitwise-identical to hand-wired ones.
 
 **Drive-build cache.**  Constructing a full-size :class:`DiskGeometry`
-(zones, spare slots, per-track tables) and fitting the seek curve costs
-tens of milliseconds per drive -- which used to be paid again for every
-drive of every point of a campaign, in every worker process.  Both objects
-are pure functions of the (immutable, hashable) :class:`DiskSpecs`, so the
-factory memoizes them per process: the N points of a campaign share one
+(zones, spare slots, per-track tables) and fitting the seek curve costs a
+few milliseconds per drive, which would be paid again for every drive of
+every point of a campaign, in every worker process.  Both objects are pure
+functions of the (immutable, hashable) :class:`DiskSpecs`, so the factory
+memoizes them per process: the N points of a campaign share one
 geometry/seek-curve per drive model instead of rebuilding per point.
-Mutable state (:class:`FirmwareCache`, drive head/actuator state) is never
-shared.  ``clear_drive_build_cache()`` drops the memo (tests, benchmarks).
+Sharing the geometry object also keeps what is cached per geometry
+(the kernel's per-track tables, the traxtent maps) alive across points,
+since those caches are weakly keyed by it.  Mutable state
+(:class:`FirmwareCache`, drive head/actuator state) is never shared.
+``clear_drive_build_cache()`` drops the memo (tests, benchmarks).
 """
 
 from __future__ import annotations

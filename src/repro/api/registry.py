@@ -122,10 +122,15 @@ class RawTrace:
             if isinstance(data, dict):
                 data = data.get("records", [])
             records = data
-        trace = Trace()
-        for row in records:
-            issue_ms, lbn, count, op = row
-            trace.append(float(issue_ms), int(lbn), int(count), str(op))
+        # LBN, count and op reach the replay as written: its row check
+        # refuses a bad one and names the row (``request #<index>: ...``).
+        times, lbns, counts, ops = [], [], [], []
+        for issue_ms, lbn, count, op in records:
+            times.append(float(issue_ms))
+            lbns.append(lbn)
+            counts.append(count)
+            ops.append(op)
+        trace = Trace(times, lbns, counts, ops)
         if interarrival_ms is not None:
             trace.issue_ms = [
                 start_ms + i * interarrival_ms for i in range(len(trace))

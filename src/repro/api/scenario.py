@@ -32,6 +32,7 @@ from typing import Any, Mapping
 
 from ..core.efficiency import efficiency_curve
 from ..disksim.drive import DiskDrive
+from ..disksim.errors import RequestError
 from ..disksim.sched import get_scheduler
 from ..faults import FaultConfig, attach_fleet_faults
 from ..sim.engine import TraceReplayEngine
@@ -85,10 +86,8 @@ def stripe_trace(trace: Trace, fleet: LbnRangeShard, seed: int = 43) -> Trace:
     """
     rng = random.Random(seed)
     offsets = [fleet.shard_range(i)[0] for i in range(len(fleet))]
-    striped = Trace()
-    for t, lbn, count, op in zip(trace.issue_ms, trace.lbns, trace.counts, trace.ops):
-        striped.append(t, offsets[rng.randrange(len(offsets))] + lbn, count, op)
-    return striped
+    lbns = [offsets[rng.randrange(len(offsets))] + lbn for lbn in trace.lbns]
+    return Trace(trace.issue_ms, lbns, trace.counts, trace.ops)
 
 
 def _attach_faults(config: ScenarioConfig, fleet: LbnRangeShard) -> None:
@@ -180,6 +179,17 @@ def _should_stripe(
     stripe = (config.workload.name != "raw") if option is None else bool(option)
     if not stripe:
         return False
+    if config.workload.name == "raw":
+        # Striping moves each row onto a shard before the replay checks it,
+        # and a negative LBN moved onto a later shard would land in valid
+        # space; so a captured trace's rows are checked here, by the
+        # replay's rule and in its words.
+        from ..sim.stream import row_problem
+
+        for k, row in enumerate(zip(trace.ops, trace.lbns, trace.counts)):
+            problem = row_problem(*row)
+            if problem is not None:
+                raise RequestError(f"request #{k}: {problem}")
     local = fleet.drives[0].geometry.total_lbns
     top = max(
         (lbn + count for lbn, count in zip(trace.lbns, trace.counts)), default=0

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .defects import Defect, DefectHandling, DefectList
@@ -170,9 +171,9 @@ class DiskGeometry:
                 f"{self.specs.cylinders}"
             )
 
-    def _reserved_spares(self, zone: Zone, cylinder: int, surface: int) -> int:
-        """Number of physical slots at the end of this track reserved as
-        spare space by the drive's sparing scheme."""
+    def _reserved_spares(self, zone: Zone, surface: int) -> int:
+        """Number of physical slots at the end of this zone's tracks on
+        ``surface`` reserved as spare space by the drive's sparing scheme."""
         scheme = self.specs.spare_scheme
         count = self.specs.spare_count
         if scheme == SpareScheme.NONE:
@@ -184,39 +185,61 @@ class DiskGeometry:
                 return min(count, zone.sectors_per_track)
             return 0
         if scheme == SpareScheme.TRACKS_PER_ZONE:
-            # handled at whole-track granularity in _track_capacity
+            # handled at whole-cylinder granularity by _spare_cylinders
             return 0
         raise GeometryError(f"unhandled spare scheme {scheme!r}")
 
-    def _is_spare_track(self, zone: Zone, cylinder: int, surface: int) -> bool:
-        if self.specs.spare_scheme != SpareScheme.TRACKS_PER_ZONE:
-            return False
-        spare_cylinders = max(1, self.specs.spare_count // self._surfaces)
-        return cylinder > zone.end_cylinder - spare_cylinders
+    def _spare_cylinders(self, zone: Zone) -> int:
+        """Number of whole spare cylinders at the end of ``zone``.
 
-    def _track_capacity(self, track: int) -> int:
-        """Number of LBN-holding sectors on a track (ground truth)."""
-        cylinder, surface = self.track_to_cyl_surface(track)
-        zone = self.zone_of_cylinder(cylinder)
-        if self._is_spare_track(zone, cylinder, surface):
+        Only spare-tracks-per-zone sparing has them: ``spare_count`` tracks
+        rounded down to whole cylinders, at least one and at most the
+        zone's own cylinders.
+        """
+        if self.specs.spare_scheme != SpareScheme.TRACKS_PER_ZONE:
             return 0
-        reserved = self._reserved_spares(zone, cylinder, surface)
-        slipped = len(self.defects.slipped_on_track(cylinder, surface))
-        capacity = zone.sectors_per_track - reserved - slipped
-        return max(0, capacity)
+        return min(zone.cylinders, max(1, self.specs.spare_count // self._surfaces))
+
+    def _is_spare_track(self, zone: Zone, cylinder: int) -> bool:
+        return cylinder > zone.end_cylinder - self._spare_cylinders(zone)
 
     def _build(self) -> None:
-        first_lbn = 0
-        firsts: list[int] = []
+        """Fill the per-track LBN tables, one zone at a time.
+
+        A track holds its zone's sectors per track, less the spare slots its
+        surface reserves, less its slipped defects (never below zero); a
+        spare track holds none.  Without defects a track's count depends
+        only on its zone, its surface and whether its cylinder is one of
+        the zone's trailing spare cylinders.  So each zone contributes one
+        per-cylinder pattern (a count per surface) repeated over its data
+        cylinders, then zeros for its spare cylinders, and the slipped
+        defects are subtracted afterwards on the tracks that hold them.
+        Each track's first LBN is the running sum of the counts before it.
+        """
+        surfaces = self._surfaces
         counts: list[int] = []
-        for track in range(self._num_tracks):
-            firsts.append(first_lbn)
-            count = self._track_capacity(track)
-            counts.append(count)
-            first_lbn += count
+        for zone in self._zones:
+            spare = self._spare_cylinders(zone)
+            pattern = [
+                zone.sectors_per_track - self._reserved_spares(zone, surface)
+                for surface in range(surfaces)
+            ]
+            counts += pattern * (zone.cylinders - spare)
+            counts += [0] * (surfaces * spare)
+        # A defect list may name tracks this drive does not have; they hold
+        # none of its LBNs.
+        for defect in self.defects:
+            if (
+                defect.handling == DefectHandling.SLIPPED
+                and defect.cylinder < self._cylinders
+                and defect.surface < surfaces
+            ):
+                track = defect.cylinder * surfaces + defect.surface
+                counts[track] = max(0, counts[track] - 1)
+        firsts = list(accumulate(counts, initial=0))
+        self._total_lbns = firsts.pop()
         self._track_first_lbn = firsts
         self._track_lbn_count = counts
-        self._total_lbns = first_lbn
         # patch zone first_lbn values
         patched = []
         for zone in self._zones:
@@ -284,9 +307,9 @@ class DiskGeometry:
         slipped slots)."""
         track = self.track_index(cylinder, surface)
         zone = self.zone_of_cylinder(cylinder)
-        if self._is_spare_track(zone, cylinder, surface):
+        if self._is_spare_track(zone, cylinder):
             return None
-        reserved = self._reserved_spares(zone, cylinder, surface)
+        reserved = self._reserved_spares(zone, surface)
         data_slots = zone.sectors_per_track - reserved
         if sector >= data_slots:
             return None

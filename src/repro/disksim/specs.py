@@ -346,8 +346,10 @@ def small_test_specs(
     """A reduced-capacity drive used by fast unit tests.
 
     Timing parameters are copied from the named real model; only the number
-    of tracks (and zones) is reduced so geometry construction and full-disk
-    scans complete in microseconds.
+    of tracks (and zones) is reduced, so work that visits every track
+    (full-disk scans, boundary extraction, whole-drive workloads) finishes
+    in milliseconds.  Building the geometry is cheap at any size: it takes
+    a few milliseconds for a full-size model.
     """
     base = get_specs(name)
     cylinders = cylinders_per_zone * num_zones

@@ -194,13 +194,14 @@ class TraceStream:
 # The request check
 # --------------------------------------------------------------------------- #
 
-def _row_problem(op, lbn, count, capacity: int) -> "str | None":
+def row_problem(op, lbn, count, capacity: "int | None" = None) -> "str | None":
     """What makes one request row invalid, or None for a valid row.
 
     The rule, checked in this order: the opcode is ``read`` or ``write``;
     the count is an integer above 0; the LBN is an integer >= 0; and LBN +
-    count is at most ``capacity``, the fleet's.  "Integer" means what
-    :func:`operator.index` accepts: numpy integers pass, ``8.0`` does not.
+    count is at most ``capacity``, the fleet's (not checked when
+    ``capacity`` is None).  "Integer" means what :func:`operator.index`
+    accepts: numpy integers pass, ``8.0`` does not.
     """
     if op not in (READ, WRITE):
         return f"unknown opcode {op!r}"
@@ -216,7 +217,7 @@ def _row_problem(op, lbn, count, capacity: int) -> "str | None":
         return f"LBN {lbn!r} is not an integer"
     if lbn < 0:
         return f"LBN {lbn} is negative"
-    if lbn + count > capacity:
+    if capacity is not None and lbn + count > capacity:
         return f"[{lbn}, {lbn + count}) exceeds fleet capacity of {capacity} sectors"
     return None
 
@@ -226,7 +227,7 @@ def _check_rows(np, capacity: int, chunk: "Trace", base: int):
     of its rows is served.
 
     Raises :class:`~repro.disksim.errors.RequestError` for the chunk's
-    first invalid row (see :func:`_row_problem`), named by its global index
+    first invalid row (see :func:`row_problem`), named by its global index
     ``base + k``.  With numpy, vectorized tests over :func:`trace_columns`
     find that row, and the check returns those columns as the kernel takes
     them, ``(lbns, counts, issue, is_read)``.  Without numpy, or when a
@@ -245,7 +246,7 @@ def _check_rows(np, capacity: int, chunk: "Trace", base: int):
             bad |= lbns > capacity - counts
             rows = np.flatnonzero(bad)[:1].tolist()
     for k in rows:
-        problem = _row_problem(chunk.ops[k], chunk.lbns[k], chunk.counts[k], capacity)
+        problem = row_problem(chunk.ops[k], chunk.lbns[k], chunk.counts[k], capacity)
         if problem is not None:
             raise RequestError(f"request #{base + k}: {problem}")
     if np is None:
@@ -1096,5 +1097,6 @@ __all__ = [
     "TraceStream",
     "replay_closed_stream",
     "replay_stream",
+    "row_problem",
     "run_service",
 ]

@@ -366,6 +366,43 @@ def test_explicit_stripe_of_global_trace_is_an_error():
     assert "stripe" in str(excinfo.value)
 
 
+RAW_ROW_ERRORS = {
+    "non-integer-lbn": ((100.5, 8), "request #1: LBN 100.5 is not an integer"),
+    "non-integer-count": ((100, 8.0), "request #1: count 8.0 is not an integer"),
+    "numeric-string-lbn": (("100", 8), "request #1: LBN '100' is not an integer"),
+    "negative-lbn": ((-1, 8), "request #1: LBN -1 is negative"),
+}
+
+
+@pytest.mark.parametrize("case", RAW_ROW_ERRORS)
+@pytest.mark.parametrize(
+    "fleet", [{}, {"fleet": {"n_drives": 2}, "options": {"stripe": True}}],
+    ids=["one-drive", "striped-fleet"],
+)
+def test_raw_trace_rows_reach_the_replay_check(tmp_path, capsys, case, fleet):
+    """A ``raw`` scenario hands its rows to the replay as written, so the
+    replay's row check refuses a bad row by its index, also when the trace
+    is striped over a fleet first."""
+    scenario = tmp_path / "raw.json"
+
+    def run(lbn, count):
+        records = [[0.0, 0, 8, "read"], [1.0, lbn, count, "read"]]
+        scenario.write_text(json.dumps({
+            "name": "raw-rows",
+            "kind": "replay",
+            "drive": {"model": "Quantum Atlas 10K II", **SMALL},
+            "workload": {"name": "raw", "params": {"records": records}},
+            **fleet,
+        }))
+        return cli_main(["run", str(scenario)])
+
+    assert run(100, 8) == 0
+    capsys.readouterr()
+    row, message = RAW_ROW_ERRORS[case]
+    assert run(*row) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_scenario_rename_to_default_name():
     base = Scenario("custom").config
     assert Scenario("scenario", config=base).config.name == "scenario"

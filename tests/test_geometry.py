@@ -1,6 +1,9 @@
 """Tests for zoned geometry, defect handling and LBN translation."""
 
 import pytest
+from _geometry_strategies import geometries, reference_tables
+from _numpy_gate import needs_numpy
+from hypothesis import given, settings, strategies as st
 
 from repro.disksim import (
     AddressError,
@@ -10,7 +13,9 @@ from repro.disksim import (
     DiskGeometry,
     GeometryError,
     SpareScheme,
+    available_models,
     default_zones,
+    get_specs,
     small_test_specs,
 )
 
@@ -201,6 +206,16 @@ def test_remapped_defect_keeps_mapping_and_relocates_one_lbn(small_specs):
     assert relocated.surface == small_specs.surfaces - 1
 
 
+def test_slipped_defects_off_the_drive_change_no_track(small_specs, clean_geometry):
+    past_last_cylinder = Defect(small_specs.cylinders + 5, 0, 1)
+    past_last_surface = Defect(0, small_specs.surfaces, 1)
+    geometry = DiskGeometry(
+        small_specs, defects=DefectList([past_last_cylinder, past_last_surface])
+    )
+    assert geometry._track_first_lbn == clean_geometry._track_first_lbn
+    assert geometry._track_lbn_count == clean_geometry._track_lbn_count
+
+
 def test_defect_list_validation():
     with pytest.raises(GeometryError):
         DefectList([Defect(0, 0, 5), Defect(0, 0, 5)])
@@ -236,23 +251,92 @@ def test_defective_geometry_round_trip(defective_geometry):
 
 
 # --------------------------------------------------------------------------- #
-# Spare schemes
+# Generated geometries: the tables against the per-track rule
 # --------------------------------------------------------------------------- #
+
+def assert_tables_match_rule(geometry):
+    """The LBN tables equal the per-track reference rule, and every zone's
+    first LBN and the drive's total agree with them."""
+    firsts, counts = reference_tables(geometry)
+    assert geometry._track_first_lbn == firsts
+    assert geometry._track_lbn_count == counts
+    assert geometry.total_lbns == firsts[-1] + counts[-1]
+    assert [z.first_lbn for z in geometry.zones] == [
+        firsts[z.first_track] for z in geometry.zones
+    ]
+
+
+def assert_round_trips(geometry, lbns):
+    for lbn in lbns:
+        address = geometry.lbn_to_physical(lbn)
+        assert geometry.physical_to_lbn(
+            address.cylinder, address.surface, address.sector
+        ) == lbn
+
+
+@given(geometries(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_generated_geometry_tables_and_round_trip(geometry, data):
+    assert_tables_match_rule(geometry)
+    total = geometry.total_lbns
+    if total:
+        sampled = data.draw(st.lists(st.integers(0, total - 1), max_size=40))
+        remapped = sorted(geometry._remap_by_lbn)
+        assert_round_trips(geometry, [0, total - 1, *sampled, *remapped])
+
+
+@needs_numpy
+@given(geometries(defects=False))
+@settings(max_examples=60, deadline=None)
+def test_generated_kernel_tables_equal_scalar_lookups(geometry):
+    """The kernel's per-track tables (numpy) gather what the scalar lookups
+    return on every track of a defect-free geometry."""
+    from repro.sim.kernel import geometry_tables
+
+    first, count, spt, skew, sector_ms, _ = (
+        column.tolist() for column in geometry_tables(geometry)
+    )
+    tracks = range(geometry.num_tracks)
+    zones = [geometry.zone_of_cylinder(t // geometry.surfaces) for t in tracks]
+    assert list(zip(first, count)) == [geometry.track_bounds(t) for t in tracks]
+    assert spt == [z.sectors_per_track for z in zones]
+    assert skew == [geometry.skew_offset(t) for t in tracks]
+    assert sector_ms == [
+        geometry.specs.sector_time_ms(z.sectors_per_track) for z in zones
+    ]
+
+
+@pytest.mark.parametrize("model", available_models())
+def test_model_geometries_follow_the_track_rule(model):
+    """Every drive model under every spare scheme, without and with random
+    defects: the tables follow the rule, and sampled LBNs round-trip."""
+    for scheme in SpareScheme.ALL:
+        specs = get_specs(model).scaled(spare_scheme=scheme)
+        for geometry in (
+            DiskGeometry(specs),
+            DiskGeometry.with_random_defects(specs, defect_count=50, seed=7),
+        ):
+            assert_tables_match_rule(geometry)
+            total = geometry.total_lbns
+            sampled = range(0, total, total // 97)
+            # Without spare space a remapped LBN's slot is a data slot of
+            # the last track, so only drives with spare space round-trip it.
+            remapped = sorted(geometry._remap_by_lbn) if scheme != SpareScheme.NONE else []
+            assert_round_trips(geometry, [*sampled, total - 1, *remapped])
+
 
 @pytest.mark.parametrize(
     "scheme",
     [SpareScheme.NONE, SpareScheme.SECTORS_PER_TRACK, SpareScheme.TRACKS_PER_ZONE],
 )
 def test_alternate_spare_schemes_build_consistent_maps(scheme):
+    """A non-default spare count: the tables follow the rule, the round trip
+    holds, and the first track's size is the fixed figure for its scheme."""
     specs = small_test_specs().scaled(spare_scheme=scheme, spare_count=6)
     geometry = DiskGeometry(specs)
-    # Round trip still holds whatever the sparing policy.
+    assert_tables_match_rule(geometry)
     total = geometry.total_lbns
-    for lbn in range(0, total, total // 311 or 1):
-        address = geometry.lbn_to_physical(lbn)
-        assert geometry.physical_to_lbn(
-            address.cylinder, address.surface, address.sector
-        ) == lbn
+    assert_round_trips(geometry, range(0, total, total // 311 or 1))
     if scheme == SpareScheme.NONE:
         assert geometry.track_bounds(0)[1] == specs.max_sectors_per_track
     if scheme == SpareScheme.SECTORS_PER_TRACK:
