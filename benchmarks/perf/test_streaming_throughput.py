@@ -89,15 +89,13 @@ def test_streaming_throughput():
     one_shot_s = _best_of(REPEATS, lambda: engine.replay(trace))
     one_shot_rps = len(trace) / one_shot_s
 
-    streamed_stats = engine.replay_stream(
-        TraceStream(iter(chunks), validate=False)
-    )
+    streamed_stats = engine.replay_stream(TraceStream(iter(chunks)))
     assert engine.last_replay_path == "kernel", engine.last_fast_reason
     # The whole point of the streaming path: bitwise-identical statistics.
     assert streamed_stats.to_dict() == one_shot_stats.to_dict()
     streamed_s = _best_of(
         REPEATS,
-        lambda: engine.replay_stream(TraceStream(iter(chunks), validate=False)),
+        lambda: engine.replay_stream(TraceStream(iter(chunks))),
     )
     streamed_rps = len(trace) / streamed_s
 

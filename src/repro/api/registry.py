@@ -122,15 +122,21 @@ class RawTrace:
             if isinstance(data, dict):
                 data = data.get("records", [])
             records = data
-        # LBN, count and op reach the replay as written: its row check
-        # refuses a bad one and names the row (``request #<index>: ...``).
+        # Every column reaches the replay as written: its row check refuses
+        # a bad row and names it (``request #<index>: ...``).
         times, lbns, counts, ops = [], [], [], []
         for issue_ms, lbn, count, op in records:
-            times.append(float(issue_ms))
+            times.append(issue_ms)
             lbns.append(lbn)
             counts.append(count)
             ops.append(op)
         trace = Trace(times, lbns, counts, ops)
+        if interarrival_ms is not None or start_ms:
+            # New timestamps would hide the written ones from that check
+            # (and a shift would trip over text): run it here first.
+            from ..sim.stream import _check_rows
+
+            _check_rows(None, None, trace)
         if interarrival_ms is not None:
             trace.issue_ms = [
                 start_ms + i * interarrival_ms for i in range(len(trace))

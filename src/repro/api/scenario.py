@@ -32,7 +32,6 @@ from typing import Any, Mapping
 
 from ..core.efficiency import efficiency_curve
 from ..disksim.drive import DiskDrive
-from ..disksim.errors import RequestError
 from ..disksim.sched import get_scheduler
 from ..faults import FaultConfig, attach_fleet_faults
 from ..sim.engine import TraceReplayEngine
@@ -183,13 +182,10 @@ def _should_stripe(
         # Striping moves each row onto a shard before the replay checks it,
         # and a negative LBN moved onto a later shard would land in valid
         # space; so a captured trace's rows are checked here, by the
-        # replay's rule and in its words.
-        from ..sim.stream import row_problem
+        # replay's rule and in its words (the capacity clause aside).
+        from ..sim.stream import _check_rows
 
-        for k, row in enumerate(zip(trace.ops, trace.lbns, trace.counts)):
-            problem = row_problem(*row)
-            if problem is not None:
-                raise RequestError(f"request #{k}: {problem}")
+        _check_rows(None, None, trace)
     local = fleet.drives[0].geometry.total_lbns
     top = max(
         (lbn + count for lbn, count in zip(trace.lbns, trace.counts)), default=0

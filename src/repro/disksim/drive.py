@@ -28,6 +28,8 @@ ascending LBN order.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, replace
 
 from .bus import BusModel
@@ -42,6 +44,59 @@ READ = "read"
 WRITE = "write"
 
 
+def row_problem(
+    op, lbn, count, capacity: "int | None" = None, issue_ms=0.0, previous=None
+) -> "str | None":
+    """What makes one request row invalid, or None for a valid row.
+
+    The one request rule: every place that refuses a request calls it and
+    prefixes its own locator (the replay ``request #<index>: ``, the
+    blktrace importer ``line <n>: ``).  Its clauses, in this order:
+
+    * the timestamp ``issue_ms`` is a number (what :mod:`math` takes as a
+      real number: text is not one), not NaN, not negative, and not below
+      ``previous``, the timestamp of the row ahead of it, when order is
+      required (``previous`` not None);
+    * the opcode ``op`` is ``read`` or ``write``;
+    * the count is an integer above 0;
+    * the LBN is an integer >= 0;
+    * LBN + count is at most ``capacity``, the drive's or the fleet's (not
+      checked when ``capacity`` is None).
+
+    "Integer" means what :func:`operator.index` accepts: numpy integers
+    pass, ``8.0`` does not.  An entry point without a timestamp leaves
+    ``issue_ms`` at its default, which passes.
+    """
+    try:
+        math.isnan(issue_ms)  # refuses what the replay's float64 column does
+    except (TypeError, ValueError, OverflowError):
+        return f"timestamp {issue_ms!r} is not a number"
+    t = float(issue_ms)
+    if t != t:
+        return "timestamp is NaN"
+    if t < 0.0:
+        return f"timestamp {t!r} is negative"
+    if previous is not None and t < float(previous):
+        return f"timestamp {t!r} is earlier than the previous request's {float(previous)!r}"
+    if op not in (READ, WRITE):
+        return f"unknown opcode {op!r}"
+    try:
+        count = operator.index(count)
+    except TypeError:
+        return f"count {count!r} is not an integer"
+    if count <= 0:
+        return f"count {count} is not positive"
+    try:
+        lbn = operator.index(lbn)
+    except TypeError:
+        return f"LBN {lbn!r} is not an integer"
+    if lbn < 0:
+        return f"LBN {lbn} is negative"
+    if capacity is not None and lbn + count > capacity:
+        return f"[{lbn}, {lbn + count}) exceeds the capacity of {capacity} sectors"
+    return None
+
+
 @dataclass(frozen=True)
 class DiskRequest:
     """One host request: ``count`` sectors starting at ``lbn``."""
@@ -51,12 +106,9 @@ class DiskRequest:
     count: int
 
     def __post_init__(self) -> None:
-        if self.op not in (READ, WRITE):
-            raise RequestError(f"unknown opcode {self.op!r}")
-        if self.count <= 0:
-            raise RequestError("request count must be positive")
-        if self.lbn < 0:
-            raise RequestError("request LBN must be non-negative")
+        problem = row_problem(self.op, self.lbn, self.count)
+        if problem is not None:
+            raise RequestError(problem)
 
     @property
     def nbytes(self) -> int:
@@ -323,10 +375,12 @@ class DiskDrive:
     # Helpers
     # ------------------------------------------------------------------ #
     def _validate(self, request: DiskRequest) -> None:
-        if request.lbn + request.count > self.geometry.total_lbns:
+        # The request's own clauses held when it was built; only the
+        # capacity clause remains.
+        capacity = self.geometry.total_lbns
+        if request.lbn + request.count > capacity:
             raise RequestError(
-                f"request [{request.lbn}, {request.lbn + request.count}) exceeds "
-                f"device capacity of {self.geometry.total_lbns} sectors"
+                row_problem(request.op, request.lbn, request.count, capacity)
             )
 
     def _account(self, completed: CompletedRequest) -> None:

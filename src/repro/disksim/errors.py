@@ -24,21 +24,26 @@ class GeometryError(DiskSimError):
 
 
 class RequestError(DiskSimError):
-    """A disk request is malformed (zero length, bad opcode, bad timing)."""
+    """A disk request is malformed (zero length, bad opcode, bad timing).
+
+    Every refusal of a request row is worded by one rule,
+    :func:`repro.disksim.drive.row_problem`; the replay raises this error
+    for any bad row, timestamp included, as ``request #<index>: ...``.
+    """
 
 
 class ConfigError(DiskSimError):
     """A configuration or input stream is malformed.
 
     Raised by the scenario configuration layer (:mod:`repro.api.config`
-    re-exports this class) and by the trace/arrival input validators in
-    :mod:`repro.sim.stream` and :mod:`repro.sim.importers`: malformed
-    arrival inputs (non-monotonic, negative or NaN timestamps; unparsable
-    trace lines) fail loudly at construction with the offending index
-    instead of corrupting replay ordering silently.  The fault-injection
-    layer (:mod:`repro.faults`) raises it for malformed fault schedules
-    and for schedules attached where they cannot act (efficiency
-    scenarios, out-of-range drive indices).
+    re-exports this class), by the arrival-process and service validators
+    in :mod:`repro.workloads.arrivals` and :mod:`repro.sim.stream`, and by
+    the blktrace importer (:mod:`repro.sim.importers`), which names the
+    offending line of a malformed trace file.  A malformed request row that
+    reaches a replay raises :class:`RequestError` instead.  The
+    fault-injection layer (:mod:`repro.faults`) raises it for malformed
+    fault schedules and for schedules attached where they cannot act
+    (efficiency scenarios, out-of-range drive indices).
     """
 
 

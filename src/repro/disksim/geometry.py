@@ -266,39 +266,46 @@ class DiskGeometry:
             if lbn is None:
                 # The defective slot is itself spare space; nothing to remap.
                 continue
-            spare = self._next_spare_slot(defect.cylinder, used)
+            spare = self._next_spare_slot(defect, used)
             self._remap_by_lbn[lbn] = spare
             self._remapped_slots.setdefault(
                 (defect.cylinder, defect.surface), set()
             ).add(defect.sector)
 
     def _next_spare_slot(
-        self, cylinder: int, used: dict[tuple[int, int], int]
+        self, defect: Defect, used: dict[tuple[int, int], int]
     ) -> PhysicalAddress:
-        """Allocate the next unused spare slot at or after ``cylinder``.
+        """Allocate the next unused slot of ``defect``'s spare pool, from
+        the end of the pool's track.
 
-        With per-cylinder (or per-track) sparing the slot comes from the end
-        of the defect's own cylinder; otherwise the very last track of the
-        drive is treated as the spare pool.
+        With per-track or per-cylinder sparing the pool is the spare slots
+        of the last surface of the defect's own cylinder; with spare tracks
+        per zone it is the drive's last track, a spare one; a drive without
+        spare space has none.  A full pool raises :class:`GeometryError`:
+        its next slot would be a data slot holding another LBN.
         """
         scheme = self.specs.spare_scheme
-        if scheme in (SpareScheme.SECTORS_PER_CYLINDER, SpareScheme.SECTORS_PER_TRACK):
-            zone = self.zone_of_cylinder(cylinder)
-            surface = self._surfaces - 1
-            key = (cylinder, surface)
-            index = used.get(key, 0)
-            used[key] = index + 1
-            slot = zone.sectors_per_track - 1 - index
-            return PhysicalAddress(cylinder, surface, slot)
-        # Spare tracks per zone, or no declared sparing: use the last track.
-        last_cyl = self._cylinders - 1
         surface = self._surfaces - 1
-        zone = self.zone_of_cylinder(last_cyl)
-        key = (last_cyl, surface)
+        if scheme in (SpareScheme.SECTORS_PER_CYLINDER, SpareScheme.SECTORS_PER_TRACK):
+            cylinder = defect.cylinder
+            zone = self.zone_of_cylinder(cylinder)
+            slots = self._reserved_spares(zone, surface)
+        else:
+            cylinder = self._cylinders - 1
+            zone = self.zone_of_cylinder(cylinder)
+            slots = zone.sectors_per_track if scheme == SpareScheme.TRACKS_PER_ZONE else 0
+        key = (cylinder, surface)
         index = used.get(key, 0)
+        if index >= slots:
+            raise GeometryError(
+                f"no spare slot left for the remapped defect at cylinder "
+                f"{defect.cylinder}, surface {defect.surface}, sector "
+                f"{defect.sector}: its pool, {slots} slots on cylinder "
+                f"{cylinder}, surface {surface} under spare scheme {scheme!r}, "
+                f"is full"
+            )
         used[key] = index + 1
-        slot = zone.sectors_per_track - 1 - index
-        return PhysicalAddress(last_cyl, surface, slot)
+        return PhysicalAddress(cylinder, surface, zone.sectors_per_track - 1 - index)
 
     def _nominal_lbn_of_slot(
         self, cylinder: int, surface: int, sector: int

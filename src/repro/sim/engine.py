@@ -158,17 +158,17 @@ class TraceReplayEngine:
     identical either way.
 
     Every replay runs through the one replay loop of :mod:`repro.sim.stream`
-    (a one-shot replay is a one-chunk stream), so its timestamps are checked
-    like a stream's: a NaN or negative one raises
-    :class:`~repro.disksim.errors.ConfigError` naming its index.  That loop
-    also checks every request row once, before any row of its chunk is
-    served: an unknown opcode, a count that is not an integer above 0, an
-    LBN that is not an integer >= 0, or a request past the fleet's capacity
-    raises :class:`~repro.disksim.errors.RequestError` naming the row's
-    index (``"request #1: LBN -1 is negative"``), with the same message on
-    any fleet, path and discipline.  A replay that raises reports nothing:
-    it clears :attr:`last_replay_path` and :attr:`last_fast_reason` to
-    ``None`` when it starts.
+    (a one-shot replay is a one-chunk stream), which checks every row once,
+    before any row of its chunk is served, by the one request rule
+    (:func:`repro.disksim.drive.row_problem`): a timestamp that is not a
+    number, is NaN or negative, or (in an open stream) is earlier than the
+    row ahead of it; an unknown opcode; a count that is not an integer
+    above 0; an LBN that is not an integer >= 0; or a request past the
+    fleet's capacity raises :class:`~repro.disksim.errors.RequestError`
+    naming the row's index (``"request #1: LBN -1 is negative"``), with the
+    same message on any fleet, path, discipline and numpy state.  A replay
+    that raises reports nothing: it clears :attr:`last_replay_path` and
+    :attr:`last_fast_reason` to ``None`` when it starts.
 
     ``queue_depth`` applies to closed replay only: each drive keeps up to
     that many requests outstanding (admitting the next trace request when
@@ -309,7 +309,9 @@ class TraceReplayEngine:
 
         ``chunks`` is a :class:`~repro.sim.stream.TraceStream`, a
         :class:`Trace` (streamed via :meth:`Trace.iter_chunks`), or any
-        iterable of trace chunks with globally non-decreasing timestamps.
+        iterable of trace chunks with globally non-decreasing timestamps:
+        a row earlier than the one ahead of it raises
+        :class:`~repro.disksim.errors.RequestError`.
         Chunks are consumed one at a time with warm-state continuation;
         the returned statistics are **bitwise identical** to
         :meth:`replay` of the concatenated trace.  ``last_replay_path``

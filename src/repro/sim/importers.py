@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 from typing import IO, Iterable, Iterator
 
-from ..disksim.drive import READ, WRITE
+from ..disksim.drive import READ, WRITE, row_problem
 from ..disksim.errors import ConfigError
 from .trace import Trace
 
@@ -46,7 +46,10 @@ def parse_blktrace_line(line: str, lineno: int) -> tuple[float, int, int, str] |
     """Parse one trace line into ``(issue_ms, lbn, count, op)``.
 
     Returns ``None`` for blank lines and ``#`` comments.  Raises
-    :class:`ConfigError` (with ``lineno``, 1-based) on malformed input.
+    :class:`ConfigError` (with ``lineno``, 1-based) on malformed input: a
+    field that does not parse, then an opcode letter other than R or W,
+    then a timestamp (in seconds), count or LBN that
+    :func:`~repro.disksim.drive.row_problem` refuses, in its words.
     """
     text = line.strip()
     if not text or text.startswith("#"):
@@ -64,33 +67,26 @@ def parse_blktrace_line(line: str, lineno: int) -> tuple[float, int, int, str] |
         raise ConfigError(
             f"line {lineno}: timestamp {ts_text!r} is not a number"
         ) from None
-    if ts != ts:
-        raise ConfigError(f"line {lineno}: timestamp is NaN")
-    if ts < 0.0:
-        raise ConfigError(f"line {lineno}: negative timestamp {ts_text!r}")
     try:
         lbn = int(lbn_text)
     except ValueError:
         raise ConfigError(
             f"line {lineno}: LBN {lbn_text!r} is not an integer"
         ) from None
-    if lbn < 0:
-        raise ConfigError(f"line {lineno}: negative LBN {lbn_text!r}")
     try:
         count = int(count_text)
     except ValueError:
         raise ConfigError(
             f"line {lineno}: block count {count_text!r} is not an integer"
         ) from None
-    if count <= 0:
-        raise ConfigError(
-            f"line {lineno}: block count must be positive, got {count_text!r}"
-        )
     op = _OPCODES.get(op_text.lower())
     if op is None:
         raise ConfigError(
             f"line {lineno}: unknown opcode {op_text!r} (expected R or W)"
         )
+    problem = row_problem(op, lbn, count, issue_ms=ts)
+    if problem is not None:
+        raise ConfigError(f"line {lineno}: {problem}")
     return ts * 1000.0, lbn, count, op
 
 
@@ -126,8 +122,8 @@ def iter_blktrace_chunks(
 
     Reads line by line; memory stays proportional to ``chunk_requests``
     regardless of file size.  Feed the result to
-    :meth:`TraceReplayEngine.replay_stream` (directly, or wrapped in a
-    :class:`~repro.sim.stream.TraceStream` for timestamp validation).
+    :meth:`TraceReplayEngine.replay_stream`, whose row check refuses a
+    timestamp that runs backwards across lines.
     """
     if chunk_requests <= 0:
         raise ConfigError("chunk_requests must be positive")

@@ -111,9 +111,8 @@ _NUMPY_CACHE = _NUMPY_UNRESOLVED
 
 def _numpy():
     """NumPy is optional and only accelerates the replay core (this
-    kernel, and the timestamp checks and statistics of
-    :mod:`repro.sim.stream`); import lazily so ``import repro`` stays cheap
-    without it.
+    kernel, and the row check and statistics of :mod:`repro.sim.stream`);
+    import lazily so ``import repro`` stays cheap without it.
 
     The result (module or ``None``) is cached for the life of the process.
     When numpy is unavailable a single :class:`RuntimeWarning` is emitted
@@ -300,12 +299,14 @@ def trace_columns(np, ordered: "Trace"):
     """The kernel's numpy columns of a trace chunk in admission order:
     ``(lbns, counts, issue, op_codes)``.
 
-    ``lbns`` and ``counts`` are int64, converted strictly: a value that is
-    not an integer (one :func:`operator.index` refuses, such as ``100.5``
-    or ``8.0``, which numpy would truncate) raises :class:`TypeError`, and
-    one outside int64 :class:`OverflowError`.  ``issue`` is float64 and
-    ``op_codes`` int8 (0 read, 1 write, 2 any other opcode).  Nothing else
-    is checked here: the replay loop's row check
+    Every column is converted strictly, through :mod:`array`.  ``lbns``
+    and ``counts`` are int64: a value that is not an integer (one
+    :func:`operator.index` refuses, such as ``100.5`` or ``8.0``, which
+    numpy would truncate) raises :class:`TypeError`, and one outside int64
+    :class:`OverflowError`.  ``issue`` is float64: a value that is not a
+    number (text such as ``"1.0"``, which numpy would parse) raises
+    :class:`TypeError`.  ``op_codes`` is int8 (0 read, 1 write, 2 any other
+    opcode).  Nothing else is checked here: the replay loop's row check
     (:func:`repro.sim.stream._check_rows`) reads these columns.
     """
     op_codes = np.fromiter(
@@ -316,7 +317,7 @@ def trace_columns(np, ordered: "Trace"):
     return (
         np.frombuffer(array("q", ordered.lbns), dtype=np.int64),
         np.frombuffer(array("q", ordered.counts), dtype=np.int64),
-        np.asarray(ordered.issue_ms, dtype=np.float64),
+        np.frombuffer(array("d", ordered.issue_ms), dtype=np.float64),
         op_codes,
     )
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Iterator, NamedTuple, Sequence
 
-from ..disksim.drive import DiskDrive, DriveStats
+from ..disksim.drive import READ, DiskDrive, DriveStats, row_problem
 from ..disksim.errors import RequestError
 
 
@@ -86,15 +86,14 @@ class LbnRangeShard:
 
         Requests entirely inside one shard (the overwhelmingly common case
         with any sane data layout) return exactly one piece; requests that
-        straddle an ownership boundary are split at the boundary.
+        straddle an ownership boundary are split at the boundary.  A bad
+        count or LBN, or one past the fleet's capacity, raises
+        :class:`RequestError` in :func:`~repro.disksim.drive.row_problem`'s
+        words (a routed request has no opcode: ``READ`` passes that clause).
         """
-        if count <= 0:
-            raise RequestError("request count must be positive")
-        if lbn < 0 or lbn + count > self._total_lbns:
-            raise RequestError(
-                f"request [{lbn}, {lbn + count}) exceeds fleet capacity of "
-                f"{self._total_lbns} sectors"
-            )
+        problem = row_problem(READ, lbn, count, self._total_lbns)
+        if problem is not None:
+            raise RequestError(problem)
         shard = bisect_right(self._starts, lbn) - 1
         start, end = self.shard_range(shard)
         if lbn + count <= end:

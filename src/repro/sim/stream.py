@@ -49,12 +49,11 @@ fraction, saturation throughput and per-drive queue-depth time series.
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from ..disksim.drive import READ, WRITE, DiskRequest
+from ..disksim.drive import DiskRequest, row_problem
 from ..disksim.errors import ConfigError, RequestError
 from ..faults import fleet_fault_extras
 from .kernel import (
@@ -84,169 +83,75 @@ _FOLD_SLICE = 262144
 # --------------------------------------------------------------------------- #
 
 class TraceStream:
-    """A lazy, validated sequence of bounded :class:`Trace` chunks.
+    """A lazy, single-use sequence of bounded :class:`Trace` chunks.
 
     Wraps any iterable of trace chunks (a generator, a list, another
-    stream).  As chunks are drawn, their timestamps are validated --
-    **NaN** and **negative** timestamps always fail, and with
-    ``require_ordered=True`` (the default, and required for open-loop
-    streaming) **non-monotonic** timestamps fail too -- with a loud
-    :class:`~repro.disksim.errors.ConfigError` naming the offending global
-    request index, instead of corrupting replay ordering silently.
-    ``validate=False`` skips these timestamp checks only: the replay loop
-    checks every row's request (:func:`_check_rows`) whatever the stream.
-
-    A stream is single-use: it can be iterated once.
+    stream) and checks nothing itself: the replay loop checks every row,
+    its timestamp included, as the row's chunk enters (:func:`_check_rows`).
     """
 
-    def __init__(
-        self,
-        chunks: "Iterable[Trace]",
-        require_ordered: bool = True,
-        validate: bool = True,
-    ) -> None:
+    def __init__(self, chunks: "Iterable[Trace]") -> None:
         self._chunks = iter(chunks)
-        self.require_ordered = require_ordered
-        self.validate = validate
-        self._index = 0
-        self._last_ts: float | None = None
 
     @classmethod
     def from_trace(
-        cls,
-        trace: "Trace",
-        chunk_requests: int = DEFAULT_CHUNK_REQUESTS,
-        require_ordered: bool = True,
-        validate: bool = True,
+        cls, trace: "Trace", chunk_requests: int = DEFAULT_CHUNK_REQUESTS
     ) -> "TraceStream":
         """Stream view of a materialized trace (see ``Trace.iter_chunks``)."""
-        return cls(
-            trace.iter_chunks(chunk_requests),
-            require_ordered=require_ordered,
-            validate=validate,
-        )
+        return cls(trace.iter_chunks(chunk_requests))
 
     def __iter__(self) -> Iterator["Trace"]:
-        for chunk in self._chunks:
-            if self.validate and len(chunk):
-                self._validate(chunk)
-            self._index += len(chunk)
-            yield chunk
+        return self._chunks
 
     def materialize(self) -> "Trace":
         """Assemble the remaining chunks into one trace (consumes the
         stream)."""
         return Trace.from_chunks(self)
 
-    # ------------------------------------------------------------------ #
-    def _validate(self, chunk: "Trace") -> None:
-        times = chunk.issue_ms
-        base = self._index
-        np = _numpy()
-        if np is not None:
-            arr = np.asarray(times, dtype=np.float64)
-            bad = np.isnan(arr)
-            if bad.any():
-                k = int(bad.argmax())
-                raise ConfigError(f"NaN timestamp at request #{base + k}")
-            neg = arr < 0.0
-            if neg.any():
-                k = int(neg.argmax())
-                raise ConfigError(
-                    f"negative timestamp {times[k]!r} at request #{base + k}"
-                )
-            if self.require_ordered:
-                prev = self._last_ts
-                if prev is not None and times[0] < prev:
-                    raise ConfigError(
-                        f"non-monotonic timestamp at request #{base}: "
-                        f"{times[0]!r} < {prev!r}"
-                    )
-                if arr.shape[0] > 1:
-                    drop = arr[1:] < arr[:-1]
-                    if drop.any():
-                        k = int(drop.argmax()) + 1
-                        raise ConfigError(
-                            f"non-monotonic timestamp at request #{base + k}: "
-                            f"{times[k]!r} < {times[k - 1]!r}"
-                        )
-        else:
-            prev = self._last_ts
-            for k, t in enumerate(times):
-                if t != t:
-                    raise ConfigError(f"NaN timestamp at request #{base + k}")
-                if t < 0.0:
-                    raise ConfigError(
-                        f"negative timestamp {t!r} at request #{base + k}"
-                    )
-                if self.require_ordered:
-                    if prev is not None and t < prev:
-                        raise ConfigError(
-                            f"non-monotonic timestamp at request #{base + k}: "
-                            f"{t!r} < {prev!r}"
-                        )
-                    prev = t
-        if self.require_ordered:
-            self._last_ts = times[-1]
-
 
 # --------------------------------------------------------------------------- #
 # The request check
 # --------------------------------------------------------------------------- #
 
-def row_problem(op, lbn, count, capacity: "int | None" = None) -> "str | None":
-    """What makes one request row invalid, or None for a valid row.
-
-    The rule, checked in this order: the opcode is ``read`` or ``write``;
-    the count is an integer above 0; the LBN is an integer >= 0; and LBN +
-    count is at most ``capacity``, the fleet's (not checked when
-    ``capacity`` is None).  "Integer" means what :func:`operator.index`
-    accepts: numpy integers pass, ``8.0`` does not.
-    """
-    if op not in (READ, WRITE):
-        return f"unknown opcode {op!r}"
-    try:
-        count = operator.index(count)
-    except TypeError:
-        return f"count {count!r} is not an integer"
-    if count <= 0:
-        return f"count {count} is not positive"
-    try:
-        lbn = operator.index(lbn)
-    except TypeError:
-        return f"LBN {lbn!r} is not an integer"
-    if lbn < 0:
-        return f"LBN {lbn} is negative"
-    if capacity is not None and lbn + count > capacity:
-        return f"[{lbn}, {lbn + count}) exceeds fleet capacity of {capacity} sectors"
-    return None
-
-
-def _check_rows(np, capacity: int, chunk: "Trace", base: int):
+def _check_rows(
+    np, capacity: "int | None", chunk: "Trace", base: int = 0, previous=None
+):
     """The replay loop's one request check, run on each chunk before any
     of its rows is served.
 
     Raises :class:`~repro.disksim.errors.RequestError` for the chunk's
-    first invalid row (see :func:`row_problem`), named by its global index
-    ``base + k``.  With numpy, vectorized tests over :func:`trace_columns`
-    find that row, and the check returns those columns as the kernel takes
-    them, ``(lbns, counts, issue, is_read)``.  Without numpy, or when a
-    row's LBN or count does not convert to int64, the rule itself runs row
-    by row; without numpy the check returns None.
+    first invalid row by :func:`~repro.disksim.drive.row_problem` (which
+    checks a row's timestamp before its request), named by its global index
+    ``base + k``.  ``previous`` is None when the replay does not require
+    its rows in time order; otherwise it is the timestamp of the row before
+    the chunk (``-inf`` before the first), and each row's timestamp must not
+    be below the one ahead of it.  With numpy, vectorized tests over
+    :func:`trace_columns` find that row, and the check returns those columns
+    as the kernel takes them, ``(lbns, counts, issue, is_read)``.  Without
+    numpy, or when some row's timestamp, LBN or count does not convert, the
+    rule itself runs row by row; without numpy the check returns None, and
+    ``capacity`` may be None there to skip the capacity clause.
     """
     rows = range(len(chunk))
     if np is not None:
         try:
             lbns, counts, issue, op_codes = trace_columns(np, chunk)
-        except (TypeError, OverflowError):
-            pass  # some row's LBN or count is no int64: the rule names it
+        except (TypeError, ValueError, OverflowError):
+            pass  # some row holds no float64 or int64: the rule names it
         else:
             # ``capacity - counts``: ``lbns + counts`` could overflow int64.
-            bad = (op_codes == 2) | (counts <= 0) | (lbns < 0)
-            bad |= lbns > capacity - counts
+            bad = np.isnan(issue) | (issue < 0.0) | (op_codes == 2)
+            bad |= (counts <= 0) | (lbns < 0) | (lbns > capacity - counts)
+            if previous is not None:
+                bad[0] |= issue[0] < previous
+                bad[1:] |= issue[1:] < issue[:-1]
             rows = np.flatnonzero(bad)[:1].tolist()
+    times = chunk.issue_ms
     for k in rows:
-        problem = row_problem(chunk.ops[k], chunk.lbns[k], chunk.counts[k], capacity)
+        ahead = times[k - 1] if k and previous is not None else previous
+        problem = row_problem(
+            chunk.ops[k], chunk.lbns[k], chunk.counts[k], capacity, times[k], ahead
+        )
         if problem is not None:
             raise RequestError(f"request #{base + k}: {problem}")
     if np is None:
@@ -543,7 +448,7 @@ class _StreamAggregator:
 # The replay loop
 # --------------------------------------------------------------------------- #
 
-def _counted(agg: _StreamAggregator, stream: "TraceStream") -> Iterator["Trace"]:
+def _counted(agg: _StreamAggregator, stream: "Iterable[Trace]") -> Iterator["Trace"]:
     """Iterate non-empty chunks, counting every trace row into ``agg``."""
     for chunk in stream:
         agg.trace_requests += len(chunk)
@@ -551,12 +456,12 @@ def _counted(agg: _StreamAggregator, stream: "TraceStream") -> Iterator["Trace"]
             yield chunk
 
 
-def _as_stream(chunks, require_ordered: bool) -> TraceStream:
-    if isinstance(chunks, TraceStream):
-        return chunks
+def _as_stream(chunks) -> "Iterable[Trace]":
+    """``chunks`` as an iterable of trace chunks: a whole :class:`Trace`
+    streams in :data:`DEFAULT_CHUNK_REQUESTS`-row chunks."""
     if isinstance(chunks, Trace):
-        return TraceStream.from_trace(chunks, require_ordered=require_ordered)
-    return TraceStream(chunks, require_ordered=require_ordered)
+        return chunks.iter_chunks(DEFAULT_CHUNK_REQUESTS)
+    return chunks
 
 
 #: Refusal reason reported when a scheduled (non-FCFS or deep-queue)
@@ -788,7 +693,7 @@ class _Oracle:
 
 def _replay(
     engine: "TraceReplayEngine",
-    stream: TraceStream,
+    stream: "Iterable[Trace]",
     mode: str,
     think_ms: float,
     reset: bool,
@@ -798,10 +703,13 @@ def _replay(
     ``(stats, aggregator)``.
 
     The one chunk loop behind every replay.  Each chunk it pulls is checked
-    first (:func:`_check_rows`): a chunk holding an invalid row raises
-    :class:`~repro.disksim.errors.RequestError` naming the row's global
-    index before any of its rows is served.  A one-shot open chunk is
-    checked in the caller's row order, then sorted into arrival order.
+    first (:func:`_check_rows`): a chunk holding an invalid row, its
+    timestamp included, raises :class:`~repro.disksim.errors.RequestError`
+    naming the row's global index before any of its rows is served.  An
+    open stream must arrive in time order, so its check carries the
+    previous row's timestamp across chunks.  A one-shot open chunk is
+    checked in the caller's row order, then sorted into arrival order; a
+    closed replay never requires order.
     Each chunk then runs on the kernel
     (:func:`repro.sim.kernel._service_shard`, per shard) when the
     replay-wide :func:`_kernel_gate` and the chunk's
@@ -831,10 +739,13 @@ def _replay(
     # scheduler gives the kernel that order.
     policy = engine.scheduler if scheduled else FCFSScheduler()
     kernel_chunks = scalar_chunks = forced = 0
+    previous = -math.inf if mode == "open" and not one_shot else None
     for chunk in _counted(agg, stream):
         base = agg.trace_requests - len(chunk)
         # Checked with numpy whenever it imports, kernel or not.
-        checked = _check_rows(_numpy(), fleet.total_lbns, chunk, base)
+        checked = _check_rows(_numpy(), fleet.total_lbns, chunk, base, previous)
+        if previous is not None:
+            previous = float(chunk.issue_ms[-1])
         if one_shot and mode == "open" and not chunk.is_time_ordered():
             chunk, checked = _in_arrival_order(chunk, checked)
         shard_cols = None
@@ -886,11 +797,10 @@ def replay_once(
 ) -> "ReplayStats":
     """One-shot replay (see :meth:`TraceReplayEngine.replay` and
     :meth:`TraceReplayEngine.replay_closed`): ``trace`` as a one-chunk
-    stream.  A NaN or negative timestamp raises :class:`ConfigError`, an
-    invalid request :class:`RequestError`, each naming the row's index in
-    ``trace`` (an open replay sorts the trace only after both checks)."""
-    stream = TraceStream([trace], require_ordered=False)
-    stats, _agg = _replay(engine, stream, mode, think_ms, reset, one_shot=True)
+    stream.  An invalid row, a NaN or negative timestamp included, raises
+    :class:`RequestError` naming its index in ``trace``; its rows need not
+    be in time order (an open replay sorts them after the check)."""
+    stats, _agg = _replay(engine, [trace], mode, think_ms, reset, one_shot=True)
     return stats
 
 
@@ -898,8 +808,7 @@ def replay_stream(
     engine: "TraceReplayEngine", chunks, reset: bool = True
 ) -> "ReplayStats":
     """Open streaming replay (see :meth:`TraceReplayEngine.replay_stream`)."""
-    stream = _as_stream(chunks, require_ordered=True)
-    stats, _agg = _replay(engine, stream, "open", 0.0, reset, one_shot=False)
+    stats, _agg = _replay(engine, _as_stream(chunks), "open", 0.0, reset, one_shot=False)
     return stats
 
 
@@ -911,8 +820,9 @@ def replay_closed_stream(
 ) -> "ReplayStats":
     """Closed streaming replay (see
     :meth:`TraceReplayEngine.replay_closed_stream`)."""
-    stream = _as_stream(chunks, require_ordered=False)
-    stats, _agg = _replay(engine, stream, "closed", think_ms, reset, one_shot=False)
+    stats, _agg = _replay(
+        engine, _as_stream(chunks), "closed", think_ms, reset, one_shot=False
+    )
     return stats
 
 
@@ -1035,8 +945,7 @@ def run_service(
         raise ConfigError("slo_ms must be positive")
     if queue_samples <= 0:
         raise ConfigError("queue_samples must be positive")
-    stream = _as_stream(chunks, require_ordered=True)
-    stats, agg = _replay(engine, stream, "open", 0.0, reset, one_shot=False)
+    stats, agg = _replay(engine, _as_stream(chunks), "open", 0.0, reset, one_shot=False)
     fleet = engine.fleet
 
     # ---- SLO violations ------------------------------------------------ #
@@ -1097,6 +1006,5 @@ __all__ = [
     "TraceStream",
     "replay_closed_stream",
     "replay_stream",
-    "row_problem",
     "run_service",
 ]

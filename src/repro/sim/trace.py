@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from ..disksim.drive import READ, WRITE, CompletedRequest, DiskRequest
+from ..disksim.drive import READ, CompletedRequest, DiskRequest, row_problem
 from ..disksim.errors import RequestError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,12 +72,12 @@ class Trace:
         )
 
     def append(self, issue_ms: float, lbn: int, count: int, op: str) -> None:
-        if op not in (READ, WRITE):
-            raise RequestError(f"unknown opcode {op!r}")
-        if count <= 0:
-            raise RequestError("request count must be positive")
-        if lbn < 0:
-            raise RequestError("request LBN must be non-negative")
+        """Add one row, refusing a bad opcode, count or LBN by
+        :func:`~repro.disksim.drive.row_problem`.  The timestamp is kept as
+        given: the replay checks it, in order where order matters."""
+        problem = row_problem(op, lbn, count)
+        if problem is not None:
+            raise RequestError(f"request #{len(self)}: {problem}")
         self.issue_ms.append(issue_ms)
         self.lbns.append(lbn)
         self.counts.append(count)

@@ -367,11 +367,30 @@ def test_explicit_stripe_of_global_trace_is_an_error():
 
 
 RAW_ROW_ERRORS = {
-    "non-integer-lbn": ((100.5, 8), "request #1: LBN 100.5 is not an integer"),
-    "non-integer-count": ((100, 8.0), "request #1: count 8.0 is not an integer"),
-    "numeric-string-lbn": (("100", 8), "request #1: LBN '100' is not an integer"),
-    "negative-lbn": ((-1, 8), "request #1: LBN -1 is negative"),
+    "non-integer-lbn": ((1.0, 100.5, 8), "request #1: LBN 100.5 is not an integer"),
+    "non-integer-count": ((1.0, 100, 8.0), "request #1: count 8.0 is not an integer"),
+    "numeric-string-lbn": ((1.0, "100", 8), "request #1: LBN '100' is not an integer"),
+    "negative-lbn": ((1.0, -1, 8), "request #1: LBN -1 is negative"),
+    "text-timestamp": (("abc", 100, 8), "request #1: timestamp 'abc' is not a number"),
+    "numeric-string-timestamp": (
+        ("1.0", 100, 8), "request #1: timestamp '1.0' is not a number"
+    ),
+    "negative-timestamp": ((-1.0, 100, 8), "request #1: timestamp -1.0 is negative"),
 }
+
+
+def run_raw_scenario(scenario, row, workload=None, **extra) -> int:
+    """Write a two-record ``raw`` scenario whose second record is ``row``
+    ``(issue_ms, lbn, count)`` and run it through the CLI."""
+    records = [[0.0, 0, 8, "read"], [*row, "read"]]
+    scenario.write_text(json.dumps({
+        "name": "raw-rows",
+        "kind": "replay",
+        "drive": {"model": "Quantum Atlas 10K II", **SMALL},
+        "workload": {"name": "raw", "params": {"records": records}, **(workload or {})},
+        **extra,
+    }))
+    return cli_main(["run", str(scenario)])
 
 
 @pytest.mark.parametrize("case", RAW_ROW_ERRORS)
@@ -384,23 +403,30 @@ def test_raw_trace_rows_reach_the_replay_check(tmp_path, capsys, case, fleet):
     replay's row check refuses a bad row by its index, also when the trace
     is striped over a fleet first."""
     scenario = tmp_path / "raw.json"
-
-    def run(lbn, count):
-        records = [[0.0, 0, 8, "read"], [1.0, lbn, count, "read"]]
-        scenario.write_text(json.dumps({
-            "name": "raw-rows",
-            "kind": "replay",
-            "drive": {"model": "Quantum Atlas 10K II", **SMALL},
-            "workload": {"name": "raw", "params": {"records": records}},
-            **fleet,
-        }))
-        return cli_main(["run", str(scenario)])
-
-    assert run(100, 8) == 0
+    assert run_raw_scenario(scenario, (1.0, 100, 8), **fleet) == 0
     capsys.readouterr()
     row, message = RAW_ROW_ERRORS[case]
-    assert run(*row) == 2
+    assert run_raw_scenario(scenario, row, **fleet) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "workload", [{"start_ms": 5.0}, {"interarrival_ms": 2.0}], ids=["shifted", "respaced"]
+)
+def test_raw_timestamps_are_checked_before_they_are_rewritten(tmp_path, capsys, workload):
+    """``start_ms`` and ``interarrival_ms`` replace a ``raw`` trace's
+    timestamps; the rows are checked as written first, in the replay's
+    words."""
+    scenario = tmp_path / "raw.json"
+    assert run_raw_scenario(scenario, (1.0, 100, 8), workload) == 0
+    capsys.readouterr()
+    for row, message in (
+        (("abc", 100, 8), "request #1: timestamp 'abc' is not a number"),
+        ((-1.0, 100, 8), "request #1: timestamp -1.0 is negative"),
+        ((1.0, -1, 8), "request #1: LBN -1 is negative"),
+    ):
+        assert run_raw_scenario(scenario, row, workload) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_scenario_rename_to_default_name():

@@ -312,17 +312,45 @@ def test_model_geometries_follow_the_track_rule(model):
     defects: the tables follow the rule, and sampled LBNs round-trip."""
     for scheme in SpareScheme.ALL:
         specs = get_specs(model).scaled(spare_scheme=scheme)
-        for geometry in (
-            DiskGeometry(specs),
-            DiskGeometry.with_random_defects(specs, defect_count=50, seed=7),
-        ):
+        geometries = [DiskGeometry(specs)]
+        if scheme == SpareScheme.NONE:
+            # Without spare space a remapped defect has no slot to go to.
+            with pytest.raises(GeometryError, match="spare scheme 'none', is full"):
+                DiskGeometry.with_random_defects(specs, defect_count=50, seed=7)
+        else:
+            geometries.append(
+                DiskGeometry.with_random_defects(specs, defect_count=50, seed=7)
+            )
+        for geometry in geometries:
             assert_tables_match_rule(geometry)
             total = geometry.total_lbns
             sampled = range(0, total, total // 97)
-            # Without spare space a remapped LBN's slot is a data slot of
-            # the last track, so only drives with spare space round-trip it.
-            remapped = sorted(geometry._remap_by_lbn) if scheme != SpareScheme.NONE else []
+            remapped = sorted(geometry._remap_by_lbn)
             assert_round_trips(geometry, [*sampled, total - 1, *remapped])
+
+
+@pytest.mark.parametrize(
+    "scheme", [SpareScheme.SECTORS_PER_TRACK, SpareScheme.SECTORS_PER_CYLINDER]
+)
+def test_full_spare_pool_refuses_one_more_remap(scheme):
+    """A cylinder's pool of ``spare_count`` slots takes that many remaps,
+    each on its own spare slot, and refuses one more: the next slot down
+    holds data."""
+    specs = small_test_specs().scaled(spare_scheme=scheme, spare_count=3)
+    remaps = [Defect(0, 0, sector, DefectHandling.REMAPPED) for sector in range(4)]
+    geometry = DiskGeometry(specs, defects=DefectList(remaps[:3]))
+    slots = {geometry.lbn_to_physical(lbn) for lbn in range(3)}
+    assert len(slots) == 3
+    assert_round_trips(geometry, range(3))
+    with pytest.raises(GeometryError, match="sector 3: its pool, 3 slots on cylinder 0"):
+        DiskGeometry(specs, defects=DefectList(remaps))
+
+
+def test_drive_without_spare_space_refuses_its_first_remap():
+    specs = small_test_specs().scaled(spare_scheme=SpareScheme.NONE)
+    remap = Defect(0, 0, 5, DefectHandling.REMAPPED)
+    with pytest.raises(GeometryError, match="sector 5: its pool, 0 slots"):
+        DiskGeometry(specs, defects=DefectList([remap]))
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ level, so a spawn worker in a numpy-less environment pays the failed
 import once, and says so once, instead of on every call.  These tests
 monkeypatch numpy away, reset the cache, and assert exactly one attempt,
 exactly one :class:`RuntimeWarning`, and correct scalar results for both
-stream timestamp validation and the replay engine's kernel auto-selection.
+the replay's row check and the replay engine's kernel auto-selection.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pytest
 
 from _numpy_gate import block_numpy
 from repro.disksim import DiskDrive, DiskGeometry, small_test_specs
-from repro.disksim.errors import ConfigError
+from repro.disksim.errors import RequestError
 from repro.sim import Trace, TraceReplayEngine, TraceStream
 
 SMALL = dict(cylinders_per_zone=12, num_zones=3)
@@ -40,17 +40,22 @@ def chunks(times: list[float]) -> list[Trace]:
 
 
 def test_stream_validation_degrades_with_single_warning(no_numpy):
+    engine = TraceReplayEngine(DiskDrive(small_test_specs(**SMALL)))
     with pytest.warns(RuntimeWarning, match="numpy is not installed"):
-        rows = list(TraceStream(chunks([0.0, 1.0, 1.0, 2.5])))
-    assert [row.issue_ms for row in rows] == [[0.0], [1.0], [1.0], [2.5]]
+        stats = engine.replay_stream(TraceStream(chunks([0.0, 1.0, 1.0, 2.5])))
+    assert stats.trace_requests == 4
     # Further streams neither warn again nor re-attempt the import, and the
-    # scalar checks still name the offending request.
+    # scalar row check still names the offending request.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConfigError, match=r"non-monotonic timestamp at request #2"):
-            list(TraceStream(chunks([0.0, 2.0, 1.0])))
-        with pytest.raises(ConfigError, match=r"negative timestamp -1.0 at request #1"):
-            list(TraceStream(chunks([0.0, -1.0])))
+        with pytest.raises(RequestError) as error:
+            engine.replay_stream(TraceStream(chunks([0.0, 2.0, 1.0])))
+        assert str(error.value) == (
+            "request #2: timestamp 1.0 is earlier than the previous request's 2.0"
+        )
+        with pytest.raises(RequestError) as error:
+            engine.replay_stream(TraceStream(chunks([0.0, -1.0])))
+        assert str(error.value) == "request #1: timestamp -1.0 is negative"
     assert len(no_numpy) == 1
 
 

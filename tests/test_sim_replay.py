@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -12,7 +14,14 @@ from repro.analysis.stats import percentile, percentiles, summarize
 from repro.api import DriveConfig, ScenarioConfig, WorkloadConfig, run_scenario
 from repro.disksim import DiskDrive, DiskGeometry, DiskRequest, FirmwareCache, RequestError
 from repro.disksim.errors import ConfigError
-from repro.sim import LbnRangeShard, Trace, TraceReplayEngine, TraceRecordingDrive
+from repro.sim import (
+    LbnRangeShard,
+    Trace,
+    TraceRecordingDrive,
+    TraceReplayEngine,
+    TraceStream,
+)
+from repro.sim.importers import parse_blktrace_line
 from repro.sim.stream import _StreamAggregator
 from repro.workloads import Postmark, PostmarkConfig, filebench_to_trace, synthetic_to_trace
 from repro.workloads.synthetic import RandomWorkloadSpec
@@ -142,24 +151,41 @@ def test_out_of_order_bus_changes_an_open_scenario():
     assert replay(in_order_bus=False) != replay(in_order_bus=True)
 
 
-#: Invalid second rows of a two-request trace; a callable LBN is a function
-#: of the fleet's capacity.
+#: Invalid second rows ``(issue_ms, lbn, count, op)`` of a two-request
+#: trace whose first row issues at 0.5 ms; a callable LBN is a function of
+#: the fleet's capacity.
 INVALID_REQUESTS = [
-    pytest.param(64, 8, "erase", id="unknown-opcode"),
-    pytest.param(64, 0, "read", id="non-positive-count"),
-    pytest.param(-1, 8, "read", id="negative-lbn"),
-    pytest.param(lambda total: total - 7, 8, "read", id="past-capacity"),
-    pytest.param(lambda total: total, 8, "read", id="starts-past-capacity"),
-    pytest.param(100.5, 8, "read", id="non-integer-lbn"),
-    pytest.param(64, 8.0, "read", id="non-integer-count"),
+    pytest.param(math.nan, 64, 8, "read", id="nan-timestamp"),
+    pytest.param(-5.0, 64, 8, "read", id="negative-timestamp"),
+    pytest.param("abc", 64, 8, "read", id="text-timestamp"),
+    pytest.param(0.25, 64, 8, "read", id="out-of-order"),
+    pytest.param(1.0, 64, 8, "erase", id="unknown-opcode"),
+    pytest.param(1.0, 64, 0, "read", id="non-positive-count"),
+    pytest.param(1.0, -1, 8, "read", id="negative-lbn"),
+    pytest.param(1.0, lambda total: total - 7, 8, "read", id="past-capacity"),
+    pytest.param(1.0, lambda total: total, 8, "read", id="starts-past-capacity"),
+    pytest.param(1.0, 100.5, 8, "read", id="non-integer-lbn"),
+    pytest.param(1.0, 64, 8.0, "read", id="non-integer-count"),
 ]
 
 
-def rejection(index: int, total: int, lbn, count, op: str) -> str:
-    """The message a replay raises for an invalid row: the rule checks the
-    opcode, then the count, then the LBN, then the fleet's capacity, and
-    the message names the row, whatever the fleet size."""
-    if op == "erase":
+def rejection(index: int, total: int, t, lbn, count, op: str, ordered: bool):
+    """The message a replay raises for an invalid row, or None when it
+    replays: the rule checks the timestamp (its order only where the
+    replay requires order, ``ordered``), then the opcode, the count, the
+    LBN and the fleet's capacity, and the message names the row, whatever
+    the fleet size."""
+    if isinstance(t, str):
+        problem = f"timestamp {t!r} is not a number"
+    elif math.isnan(t):
+        problem = "timestamp is NaN"
+    elif t < 0:
+        problem = f"timestamp {t!r} is negative"
+    elif t < 0.5:
+        if not ordered:
+            return None
+        problem = f"timestamp {t!r} is earlier than the previous request's 0.5"
+    elif op == "erase":
         problem = "unknown opcode 'erase'"
     elif isinstance(count, float):
         problem = f"count {count!r} is not an integer"
@@ -170,7 +196,7 @@ def rejection(index: int, total: int, lbn, count, op: str) -> str:
     elif lbn < 0:
         problem = f"LBN {lbn} is negative"
     else:
-        problem = f"[{lbn}, {lbn + count}) exceeds fleet capacity of {total} sectors"
+        problem = f"[{lbn}, {lbn + count}) exceeds the capacity of {total} sectors"
     return f"request #{index}: {problem}"
 
 
@@ -187,33 +213,144 @@ DISCIPLINES = [
 @pytest.mark.filterwarnings("ignore:numpy is not installed")
 @pytest.mark.parametrize("fast", [None, False])
 @pytest.mark.parametrize("n_drives", [1, 3])
-@pytest.mark.parametrize("lbn,count,op", INVALID_REQUESTS)
+@pytest.mark.parametrize("t,lbn,count,op", INVALID_REQUESTS)
 def test_replay_rejects_invalid_requests(
-    small_specs, monkeypatch, n_drives, fast, lbn, count, op
+    small_specs, monkeypatch, n_drives, fast, t, lbn, count, op
 ):
-    """Every discipline raises the same error for the same invalid row, with
-    numpy and without, before any drive serves a row of its chunk."""
+    """Every discipline, one-shot and streamed, raises the same error for
+    the same invalid row, with numpy and without, before any drive serves a
+    row of its chunk.  Only an open stream requires its rows in time
+    order."""
     for blocked in (False, True):
         with monkeypatch.context() as patch:
             if blocked:
                 block_numpy(patch)
-            for mode, policy, depth in DISCIPLINES:
-                case = (blocked, mode, policy, depth)
+            for (mode, policy, depth), streamed in itertools.product(
+                DISCIPLINES, (False, True)
+            ):
+                case = (blocked, mode, policy, depth, streamed)
                 fleet = LbnRangeShard([DiskDrive(small_specs) for _ in range(n_drives)])
                 row_lbn = lbn(fleet.total_lbns) if callable(lbn) else lbn
                 # The constructor takes the columns as given; Trace.append
                 # would refuse.
-                trace = Trace([0.0, 1.0], [0, row_lbn], [8, count], ["read", op])
+                trace = Trace([0.5, t], [0, row_lbn], [8, count], ["read", op])
                 engine = TraceReplayEngine(
                     fleet, fast=fast, scheduler=policy, queue_depth=depth
                 )
-                replay = engine.replay if mode == "open" else engine.replay_closed
+                if streamed:
+                    replay = (
+                        engine.replay_stream if mode == "open"
+                        else engine.replay_closed_stream
+                    )
+                    trace = TraceStream([trace])
+                else:
+                    replay = engine.replay if mode == "open" else engine.replay_closed
+                ordered = streamed and mode == "open"
+                message = rejection(1, fleet.total_lbns, t, row_lbn, count, op, ordered)
+                if message is None:
+                    assert replay(trace).trace_requests == 2, case
+                    continue
                 with pytest.raises(RequestError) as error:
                     replay(trace)
-                message = rejection(1, fleet.total_lbns, row_lbn, count, op)
                 assert str(error.value) == message, case
                 served = [drive.stats.requests for drive in fleet.drives]
                 assert served == [0] * n_drives, case
+
+
+@pytest.mark.filterwarnings("ignore:numpy is not installed")
+def test_first_bad_row_wins_and_its_timestamp_first(small_specs, monkeypatch):
+    """A chunk's first bad row is refused, whatever comes after it, and a
+    row with a bad timestamp and a bad request is refused for its
+    timestamp."""
+    rows = [
+        (Trace([0.0, 1.0, -1.0], [0, -1, 0], [8, 8, 8], ["read"] * 3),
+         "request #1: LBN -1 is negative"),
+        (Trace([0.0, math.nan, 1.0], [0, -1, 0], [8, 8, 8], ["read"] * 3),
+         "request #1: timestamp is NaN"),
+    ]
+    for blocked in (False, True):
+        with monkeypatch.context() as patch:
+            if blocked:
+                block_numpy(patch)
+            for trace, message in rows:
+                engine = TraceReplayEngine(DiskDrive(small_specs))
+                with pytest.raises(RequestError, match=f"^{re.escape(message)}$"):
+                    engine.replay(trace)
+
+
+#: One bad row per clause of the rule, ``(issue_ms, lbn, count, op)``, the
+#: clause it breaks and the rule's words.  A ``None`` LBN starts 7 sectors
+#: before the end of the drive.
+BAD_ROWS = {
+    "nan-timestamp": ((math.nan, 64, 8, "read"), "timestamp", "timestamp is NaN"),
+    "negative-timestamp": ((-1.0, 64, 8, "read"), "timestamp", "timestamp -1.0 is negative"),
+    "text-timestamp": (("abc", 64, 8, "read"), "timestamp", "timestamp 'abc' is not a number"),
+    "unknown-opcode": ((0.0, 64, 8, "erase"), "opcode", "unknown opcode 'erase'"),
+    "non-positive-count": ((0.0, 64, 0, "read"), "count", "count 0 is not positive"),
+    "non-integer-count": ((0.0, 64, 8.0, "read"), "count", "count 8.0 is not an integer"),
+    "negative-lbn": ((0.0, -1, 8, "read"), "lbn", "LBN -1 is negative"),
+    "non-integer-lbn": ((0.0, 100.5, 8, "read"), "lbn", "LBN 100.5 is not an integer"),
+    "past-capacity": ((0.0, None, 8, "read"), "capacity", None),
+}
+
+#: Every entry point but the replay: how it takes a row, the clauses it
+#: checks, the error it raises and the locator it puts first.
+ENTRY_POINTS = {
+    "DiskRequest": (
+        lambda drive, fleet, t, lbn, count, op: DiskRequest(op, lbn, count),
+        {"opcode", "count", "lbn"}, RequestError, "",
+    ),
+    "Trace.append": (
+        lambda drive, fleet, t, lbn, count, op: Trace([0.0], [0], [8], ["read"]).append(
+            t, lbn, count, op
+        ),
+        {"opcode", "count", "lbn"}, RequestError, "request #1: ",
+    ),
+    "LbnRangeShard.route": (
+        lambda drive, fleet, t, lbn, count, op: fleet.route(lbn, count),
+        {"count", "lbn", "capacity"}, RequestError, "",
+    ),
+    "DiskDrive.submit": (
+        lambda drive, fleet, t, lbn, count, op: drive.submit(DiskRequest(op, lbn, count), 0.0),
+        {"opcode", "count", "lbn", "capacity"}, RequestError, "",
+    ),
+    "parse_blktrace_line": (
+        lambda drive, fleet, t, lbn, count, op: parse_blktrace_line(
+            f"{t} 8,0 {lbn} {count} {op[0].upper()}", 3
+        ),
+        {"timestamp", "count", "lbn"}, ConfigError, "line 3: ",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:numpy is not installed")
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_words_a_bad_row_by_the_rule(small_specs, monkeypatch, entry):
+    """The same bad rows through every entry point that refuses a request:
+    each refuses exactly the clauses it checks, in the rule's words after
+    its own locator, and takes the other rows, with numpy and without."""
+    call, clauses, error, locator = ENTRY_POINTS[entry]
+    for blocked in (False, True):
+        with monkeypatch.context() as patch:
+            if blocked:
+                block_numpy(patch)
+            for case, ((t, lbn, count, op), clause, problem) in BAD_ROWS.items():
+                drive = DiskDrive(small_specs)
+                total = drive.geometry.total_lbns
+                if lbn is None:
+                    lbn = total - 7
+                    problem = f"[{lbn}, {lbn + 8}) exceeds the capacity of {total} sectors"
+                if entry == "parse_blktrace_line" and (
+                    op == "erase" or not isinstance(lbn, int) or not isinstance(count, int)
+                ):
+                    continue  # a field that does not parse has its own message
+                fleet = LbnRangeShard([drive])
+                if clause not in clauses:
+                    call(drive, fleet, t, lbn, count, op)
+                    continue
+                with pytest.raises(error) as raised:
+                    call(drive, fleet, t, lbn, count, op)
+                assert str(raised.value) == locator + problem, (blocked, case)
 
 
 @pytest.mark.parametrize("fast", [None, False])
@@ -378,8 +515,8 @@ def test_empty_trace_rejected(small_drive):
 @pytest.mark.parametrize(
     "bad,message",
     [
-        pytest.param(math.nan, r"NaN timestamp at request #2", id="nan"),
-        pytest.param(-5.0, r"negative timestamp -5\.0 at request #2", id="negative"),
+        pytest.param(math.nan, "request #2: timestamp is NaN", id="nan"),
+        pytest.param(-5.0, "request #2: timestamp -5.0 is negative", id="negative"),
     ],
 )
 def test_malformed_timestamps_fail_loudly(small_drive, mode, bad, message):
@@ -391,8 +528,10 @@ def test_malformed_timestamps_fail_loudly(small_drive, mode, bad, message):
     )
     engine = TraceReplayEngine(small_drive)
     replay = engine.replay if mode == "open" else engine.replay_closed
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(RequestError) as error:
         replay(trace)
+    assert str(error.value) == message
+    assert small_drive.stats.requests == 0
 
 
 # --------------------------------------------------------------------------- #

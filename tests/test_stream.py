@@ -11,13 +11,14 @@ kernel and scalar chunk paths.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import random
 
 import pytest
 
-from _numpy_gate import HAVE_NUMPY, needs_numpy
+from _numpy_gate import HAVE_NUMPY, block_numpy, needs_numpy
 from repro.api import (
     ResultStore,
     Scenario,
@@ -26,7 +27,7 @@ from repro.api import (
     scenario_hash,
 )
 from repro.api.cli import main as cli_main
-from repro.disksim import DiskDrive, small_test_specs
+from repro.disksim import DiskDrive, FirmwareCache, small_test_specs
 from repro.disksim.drive import CompletedRequest, DiskRequest
 from repro.disksim.errors import ConfigError, RequestError
 from repro.disksim.sched import FCFSScheduler
@@ -146,7 +147,8 @@ def test_iter_chunks_rejects_bad_size():
 
 
 # --------------------------------------------------------------------------- #
-# TraceStream validation (loud ConfigError at the offending request)
+# Timestamps in the replay's row check (loud RequestError at the offending
+# request, whatever stream carries the rows)
 # --------------------------------------------------------------------------- #
 
 def make_chunks(times):
@@ -159,40 +161,117 @@ def make_chunks(times):
     return list(trace.iter_chunks(3))
 
 
+def stream_rejects(times, message, served=0, closed=False):
+    """An open (or closed) stream of ``times`` in 3-row chunks raises
+    exactly ``message`` after serving ``served`` rows, on both paths."""
+    for fast in (None, False):
+        drive = DiskDrive(small_test_specs(cylinders_per_zone=12, num_zones=3))
+        engine = TraceReplayEngine(drive, fast=fast)
+        replay = engine.replay_closed_stream if closed else engine.replay_stream
+        with pytest.raises(RequestError) as error:
+            replay(TraceStream(make_chunks(times)))
+        assert str(error.value) == message, fast
+        assert drive.stats.requests == served, fast
+
+
 def test_stream_rejects_nan_timestamp():
-    with pytest.raises(ConfigError, match=r"NaN timestamp at request #4"):
-        list(TraceStream(make_chunks([0.0, 1.0, 2.0, 3.0, math.nan, 5.0])))
+    # The NaN sits in the second chunk: the first chunk's rows are served.
+    stream_rejects([0.0, 1.0, 2.0, 3.0, math.nan, 5.0], "request #4: timestamp is NaN", 3)
 
 
 def test_stream_rejects_negative_timestamp():
-    with pytest.raises(ConfigError, match=r"negative timestamp .* request #1"):
-        list(TraceStream(make_chunks([0.0, -0.5, 1.0])))
+    stream_rejects([0.0, -0.5, 1.0], "request #1: timestamp -0.5 is negative")
+    stream_rejects([0.0, -0.5, 1.0], "request #1: timestamp -0.5 is negative", closed=True)
 
 
 def test_stream_rejects_non_monotonic_within_chunk():
-    with pytest.raises(ConfigError, match=r"non-monotonic timestamp at request #2"):
-        list(TraceStream(make_chunks([0.0, 2.0, 1.0])))
+    stream_rejects(
+        [0.0, 2.0, 1.0],
+        "request #2: timestamp 1.0 is earlier than the previous request's 2.0",
+    )
 
 
 def test_stream_rejects_non_monotonic_across_chunks():
     # Chunks of 3: the regression is the first element of the second chunk.
-    with pytest.raises(ConfigError, match=r"non-monotonic timestamp at request #3"):
-        list(TraceStream(make_chunks([0.0, 1.0, 2.0, 1.5, 3.0])))
+    stream_rejects(
+        [0.0, 1.0, 2.0, 1.5, 3.0],
+        "request #3: timestamp 1.5 is earlier than the previous request's 2.0",
+        3,
+    )
 
 
-def test_stream_unordered_allowed_when_not_required():
-    chunks = make_chunks([5.0, 1.0, 3.0])
-    assert sum(len(c) for c in TraceStream(chunks, require_ordered=False)) == 3
+def test_stream_unordered_allowed_when_not_required(small_specs):
+    """Order follows from the replay's discipline: a closed stream and a
+    one-shot open replay (which sorts) take unordered rows."""
+    times = [5.0, 1.0, 3.0]
+    engine = TraceReplayEngine(DiskDrive(small_specs))
+    assert engine.replay_closed_stream(TraceStream(make_chunks(times))).trace_requests == 3
+    assert engine.replay(Trace.from_chunks(make_chunks(times))).trace_requests == 3
+    with pytest.raises(RequestError, match=r"^request #1: timestamp 1\.0 is earlier"):
+        engine.replay_stream(TraceStream(make_chunks(times)))
 
 
+@pytest.mark.filterwarnings("ignore:numpy is not installed")
 def test_stream_scalar_validation_without_numpy(monkeypatch):
-    import repro.sim.stream as stream_mod
+    block_numpy(monkeypatch)
+    stream_rejects(
+        [0.0, 1.0, 2.0, 3.0, 2.5],
+        "request #4: timestamp 2.5 is earlier than the previous request's 3.0",
+        3,
+    )
+    stream_rejects([math.nan], "request #0: timestamp is NaN")
 
-    monkeypatch.setattr(stream_mod, "_numpy", lambda: None)
-    with pytest.raises(ConfigError, match=r"request #4"):
-        list(TraceStream(make_chunks([0.0, 1.0, 2.0, 3.0, 2.5])))
-    with pytest.raises(ConfigError, match=r"NaN timestamp at request #0"):
-        list(TraceStream(make_chunks([math.nan])))
+
+#: Open streams that ``TraceStream(..., require_ordered=False)`` or
+#: ``validate=False`` used to replay: 4 rows in 2-row chunks, the bad
+#: row's index and the rule's words for it.
+UNCHECKED_STREAMS = {
+    "unordered": (
+        [0.0, 5.0, 1.0, 6.0], 2, "timestamp 1.0 is earlier than the previous request's 5.0"
+    ),
+    "negative": ([0.0, -3.0, 1.0, 2.0], 1, "timestamp -3.0 is negative"),
+    "nan": ([0.0, 1.0, math.nan, 2.0], 2, "timestamp is NaN"),
+    "text": ([0.0, 1.0, "2.0", 3.0], 2, "timestamp '2.0' is not a number"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:numpy is not installed")
+@pytest.mark.parametrize("case", UNCHECKED_STREAMS)
+def test_open_streams_check_timestamps_whatever_the_stream(monkeypatch, case):
+    """An open stream refuses a bad timestamp however its chunks arrive --
+    a ``TraceStream``, a list, a generator or a whole trace -- on every
+    path, through ``replay_stream`` and ``run_service``, with numpy and
+    without, and serves no row of the offending chunk."""
+    times, row, problem = UNCHECKED_STREAMS[case]
+    trace = Trace(times, [0, 64, 128, 192], [8] * 4, ["read"] * 4)
+    streams = {
+        "TraceStream": lambda: TraceStream(trace.iter_chunks(2)),
+        "from_trace": lambda: TraceStream.from_trace(trace, 2),
+        "list": lambda: list(trace.iter_chunks(2)),
+        "generator": lambda: trace.iter_chunks(2),
+        "trace": lambda: trace,  # one chunk
+    }
+    for blocked in (False, True):
+        with monkeypatch.context() as patch:
+            if blocked:
+                block_numpy(patch)
+            for (kind, stream), fast, service in itertools.product(
+                streams.items(), (None, False), (False, True)
+            ):
+                drive = DiskDrive(
+                    small_test_specs(cylinders_per_zone=12, num_zones=3),
+                    cache=FirmwareCache(enable_caching=False),
+                )
+                engine = TraceReplayEngine(drive, fast=fast)
+                case_id = (blocked, kind, fast, service)
+                with pytest.raises(RequestError) as error:
+                    if service:
+                        run_service(engine, stream())
+                    else:
+                        engine.replay_stream(stream())
+                assert str(error.value) == f"request #{row}: {problem}", case_id
+                served = 0 if kind == "trace" else row - row % 2
+                assert drive.stats.requests == served, case_id
 
 
 # --------------------------------------------------------------------------- #
@@ -607,7 +686,7 @@ def test_arrival_streams_are_valid_and_deterministic(name):
     assert total == 300
     assert [c.issue_ms for c in chunks_a] == [c.issue_ms for c in chunks_b]
     assert [c.lbns for c in chunks_a] == [c.lbns for c in chunks_b]
-    # Globally monotone, non-negative, chunk-bounded -- TraceStream agrees.
+    # Globally monotone, non-negative, chunk-bounded.
     assert all(len(c) <= 64 for c in chunks_a)
     merged = Trace.from_chunks(TraceStream(chunks_a))
     assert merged.is_time_ordered()
@@ -724,9 +803,9 @@ def test_blktrace_chunked_matches_whole_file():
         ("1.0 8,0 100 8", "expected 5 fields"),
         ("abc 8,0 100 8 R", "timestamp 'abc' is not a number"),
         ("nan 8,0 100 8 R", "timestamp is NaN"),
-        ("-1.0 8,0 100 8 R", "negative timestamp"),
-        ("1.0 8,0 -5 8 R", "negative LBN"),
-        ("1.0 8,0 100 0 R", "block count must be positive"),
+        ("-1.0 8,0 100 8 R", "timestamp -1.0 is negative"),
+        ("1.0 8,0 -5 8 R", "LBN -5 is negative"),
+        ("1.0 8,0 100 0 R", "count 0 is not positive"),
         ("1.0 8,0 100 8 X", "unknown opcode"),
     ],
 )
