@@ -229,13 +229,18 @@ class TraceReplayEngine:
         one).
 
         Returns ``(ops, lbns, counts, issue_times)``, each a list with one
-        per-shard column.  Single-drive fleets reuse the trace columns
-        directly; multi-drive fleets take the inlined single-shard routing
-        with the general splitting path for boundary-crossing requests.
-        The replay loop has checked every row, so none is out of range.
+        per-shard column.  Each issue time is ``float(t)``, the double the
+        kernel's float64 ``issue`` column holds, so a timestamp the row
+        check accepts (a ``Decimal`` or ``Fraction`` included) replays the
+        same on every path.  Single-drive fleets reuse the other trace
+        columns directly; multi-drive fleets take the inlined single-shard
+        routing with the general splitting path for boundary-crossing
+        requests.  The replay loop has checked every row, so none is out
+        of range.
         """
         fleet = self.fleet
         n_shards = len(fleet)
+        times = map(float, ordered.issue_ms)
         if n_shards == 1:
             # Single-drive replay: the trace columns feed the service loop
             # directly, no per-request routing work at all.
@@ -244,7 +249,7 @@ class TraceReplayEngine:
                 [ordered.ops],
                 [ordered.lbns],
                 [ordered.counts],
-                [ordered.issue_ms],
+                [list(times)],
             )
         shard_ops: list[list] = [[] for _ in range(n_shards)]
         shard_lbns: list[list] = [[] for _ in range(n_shards)]
@@ -256,7 +261,7 @@ class TraceReplayEngine:
         bisect = bisect_right
         routed = 0
         for t, lbn, count, op in zip(
-            ordered.issue_ms, ordered.lbns, ordered.counts, ordered.ops
+            times, ordered.lbns, ordered.counts, ordered.ops
         ):
             # Inlined single-shard routing; boundary-crossing requests
             # take the general (splitting, counted) path.

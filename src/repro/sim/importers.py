@@ -27,6 +27,7 @@ the importer to scenarios and the CLI.
 from __future__ import annotations
 
 import os
+import sys
 from typing import IO, Iterable, Iterator
 
 from ..disksim.drive import READ, WRITE, row_problem
@@ -105,13 +106,7 @@ def import_blktrace(source: "str | os.PathLike[str] | IO[str] | Iterable[str]") 
     issue order; an unordered file can be normalized afterwards with
     :meth:`Trace.sorted_by_issue`).
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return import_blktrace(handle)
-    trace = Trace()
-    for issue_ms, lbn, count, op in _parse_lines(source):
-        trace.append(issue_ms, lbn, count, op)
-    return trace
+    return Trace.from_chunks(iter_blktrace_chunks(source, sys.maxsize))
 
 
 def iter_blktrace_chunks(
@@ -121,9 +116,10 @@ def iter_blktrace_chunks(
     """Lazily import a blktrace-style text trace as bounded chunks.
 
     Reads line by line; memory stays proportional to ``chunk_requests``
-    regardless of file size.  Feed the result to
-    :meth:`TraceReplayEngine.replay_stream`, whose row check refuses a
-    timestamp that runs backwards across lines.
+    regardless of file size.  Each line is checked once, by
+    :func:`parse_blktrace_line`, and its row goes straight into the chunk's
+    columns.  Feed the result to :meth:`TraceReplayEngine.replay_stream`,
+    whose row check refuses a timestamp that runs backwards across lines.
     """
     if chunk_requests <= 0:
         raise ConfigError("chunk_requests must be positive")
@@ -133,7 +129,10 @@ def iter_blktrace_chunks(
         return
     chunk = Trace()
     for issue_ms, lbn, count, op in _parse_lines(source):
-        chunk.append(issue_ms, lbn, count, op)
+        chunk.issue_ms.append(issue_ms)
+        chunk.lbns.append(lbn)
+        chunk.counts.append(count)
+        chunk.ops.append(op)
         if len(chunk) >= chunk_requests:
             yield chunk
             chunk = Trace()

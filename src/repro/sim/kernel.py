@@ -418,9 +418,17 @@ def _service_shard(
     dispatch order is precomputed with numpy and handed to the loop as a
     plain list; the loop below keeps only the irreducible serial
     recurrence -- actuator/bus availability, head position, rotation phase
-    and queue admission.  Float arithmetic matches the scalar ``submit``
-    path operation for operation, so the replay is bitwise identical to the
-    scalar loops of :mod:`repro.sim.stream`.  Single-track rows run the
+    and queue admission.  Translation searches the per-track table once
+    per row for its start track; a row ends on that track unless it
+    crosses the track's end, so only the crossing rows (``multi``) search
+    again for their end track, each search walking back over
+    zero-capacity spare tracks.  Only the columns the loop reads become
+    lists: the LBNs when the cache records them or a pending queue scores
+    them, the prefetch rate when the cache is on; in arrival order the
+    issue events are copied straight from the float64 ``issue`` column.
+    Float arithmetic matches the scalar ``submit`` path operation for
+    operation, so the replay is bitwise identical to the scalar loops of
+    :mod:`repro.sim.stream`.  Single-track rows run the
     inlined service arithmetic; a row that crosses a track boundary runs
     the piece loop of ``DiskDrive._media_access`` over the per-track tables
     (``serve_multitrack``).  Nothing here calls a ``DiskDrive`` method: the
@@ -482,13 +490,19 @@ def _service_shard(
         track = np.where(empty, track - 1, track)
         empty = tr_count[track] == 0
     first = tr_first[track]
-    last = lbns + counts - 1
-    etrack = np.searchsorted(tr_first, last, side="right") - 1
-    empty = tr_count[etrack] == 0
-    while empty.any():
-        etrack = np.where(empty, etrack - 1, etrack)
-        empty = tr_count[etrack] == 0
     multi = lbns + counts > first + tr_count[track]
+    # A row ends on its start track unless it crosses that track's end.
+    any_multi = bool(multi.any())
+    etrack = track
+    if any_multi:
+        rows = np.flatnonzero(multi)
+        end = np.searchsorted(tr_first, lbns[rows] + counts[rows] - 1, side="right") - 1
+        empty = tr_count[end] == 0
+        while empty.any():
+            end = np.where(empty, end - 1, end)
+            empty = tr_count[end] == 0
+        etrack = track.copy()
+        etrack[rows] = end
 
     cyl = track // surfaces
     surf = track - cyl * surfaces
@@ -531,8 +545,17 @@ def _service_shard(
         # Closed mode: admission times are decided by the loop below.
         issue_l = [0.0] * n
         issue_cmd_l = [0.0] * n
+    # Mirror the scalar path's cache bookkeeping so a later warm-state
+    # continuation (reset=False) sees exactly the cache a scalar replay
+    # would have left behind.  The reuse gate guarantees no probe ever
+    # *hits* during this replay, so recording cannot change its results.
+    cache = drive.cache
+    maintain_cache = cache.enable_caching
+    record_read = cache.record_read
+    record_write = cache.record_write
+
     count_l = counts.tolist()
-    lbn_l = lbns.tolist()
+    lbn_l = lbns.tolist() if maintain_cache or not arrival_order else None
     is_read_l = is_read.tolist()
     multi_l = multi.tolist()
     settle_l = settle_col.tolist()
@@ -544,9 +567,7 @@ def _service_shard(
     total_bus_l = total_bus_col.tolist()
     # The prefetch rate record_read gets: the zone of the request's last
     # sector (DiskDrive.streaming_ms_per_sector(lbn + count - 1)).
-    stream_ms_l = tr_stream_ms[etrack].tolist()
-    ecyl_l = ecyl.tolist()
-    esurf_l = esurf.tolist()
+    stream_ms_l = tr_stream_ms[etrack].tolist() if maintain_cache else None
 
     if arrival_order:
         # Head position before each request: the previous request's end
@@ -565,6 +586,14 @@ def _service_shard(
     else:
         cyl_l = cyl.tolist()
         surf_l = surf.tolist()
+        # The head sits on the end track of the previous dispatch,
+        # ``ecyl_l[prev]``/``esurf_l[prev]``; before the first dispatch
+        # ``prev`` is -1, the drive's starting position appended past the
+        # rows.
+        ecyl_l = ecyl.tolist()
+        esurf_l = esurf.tolist()
+        ecyl_l.append(drive.head_cylinder)
+        esurf_l.append(drive.head_surface)
         view = KernelQueueView(
             rotation_ms=rotation,
             head_switch_ms=head_switch_cost,
@@ -586,15 +615,6 @@ def _service_shard(
         starvation = scheduler.starvation_ms
         ksel = scheduler.kernel_select
 
-    # Mirror the scalar path's cache bookkeeping so a later warm-state
-    # continuation (reset=False) sees exactly the cache a scalar replay
-    # would have left behind.  The reuse gate guarantees no probe ever
-    # *hits* during this replay, so recording cannot change its results.
-    cache = drive.cache
-    maintain_cache = cache.enable_caching
-    record_read = cache.record_read
-    record_write = cache.record_write
-
     completions = [0.0] * n
     order: list[int] = []  # dispatch order, when it is not arrival order
     seek_sum = acc.seek
@@ -608,15 +628,8 @@ def _service_shard(
     drive_busy = drive.stats.busy_ms
     act_free = drive.actuator_free
     b_free = drive.bus_free
-    # The head sits on the end track of the previous dispatch,
-    # ``ecyl_l[prev]``/``esurf_l[prev]``; before the first dispatch
-    # ``prev`` is -1, the drive's starting position appended past the rows.
-    ecyl_l.append(drive.head_cylinder)
-    esurf_l.append(drive.head_surface)
     prev = -1
     forced = 0
-
-    any_multi = bool(multi.any())
 
     def serve_multitrack(idx, mech_start, seek_ms, hs_ms, b_free):
         """Serve row ``idx``, which crosses a track boundary, as
@@ -631,7 +644,7 @@ def _service_shard(
         piece's arc is exactly its sectors, so zero-latency access applies
         to a piece only when it is as long as its track's slot count.
         """
-        lbn = lbn_l[idx]
+        lbn = lbns.item(idx)
         count = count_l[idx]
         end = lbn + count
         t = mech_start + seek_ms + settle_l[idx] + hs_ms
@@ -944,8 +957,8 @@ def _service_shard(
     # ---- commit drive state and aggregate counters --------------------- #
     drive.actuator_free = act_free
     drive.bus_free = b_free
-    drive.head_cylinder = ecyl_l[prev]
-    drive.head_surface = esurf_l[prev]
+    drive.head_cylinder = ecyl.item(prev)
+    drive.head_surface = esurf.item(prev)
 
     reads = int(np.count_nonzero(is_read))
     stats = drive.stats
@@ -968,7 +981,7 @@ def _service_shard(
     acc.busy = busy_sum
     acc.requests += n
     if arrival_order:
-        acc.issues.extend(issue_l)
+        acc.issues.frombytes(issue.tobytes())  # the doubles issue_l holds
         acc.completions.extend(completions)
     else:
         acc.issues.extend([issue_l[k] for k in order])

@@ -74,7 +74,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Default chunk size (requests) used by stream builders.
 DEFAULT_CHUNK_REQUESTS = 65536
 
-#: Slice size for the C-speed left-fold over response times at finalize.
+#: Slice size for the C-speed left-fold over response times and for the
+#: peak-outstanding scan at finalize.
 _FOLD_SLICE = 262144
 
 
@@ -360,8 +361,12 @@ class _StreamAggregator:
                     acc = sum(resp[lo:lo + _FOLD_SLICE].tolist(), acc)
                 mn = min(mn, float(resp.min()))
                 mx = max(mx, float(resp.max()))
-            merged = np.concatenate(columns) if len(columns) > 1 else columns[0]
-            ordered = np.sort(merged)
+            # Each column is a fresh difference, never a view of the events,
+            # so the merged copy may be sorted in place once the per-shard
+            # columns are dropped.
+            ordered = np.concatenate(columns) if len(columns) > 1 else columns[0]
+            del columns, resp
+            ordered.sort()
             n = int(ordered.shape[0])
             out = {"mean": acc / issued, "min": mn, "max": mx}
             for key, fraction in (
@@ -381,28 +386,35 @@ class _StreamAggregator:
     def _span_and_peak(self) -> tuple[float, float, int]:
         """``(start_ms, end_ms, peak_outstanding)``: the first issue, the
         last completion and the most requests in flight at any issue, read
-        from every shard's issue and completion events, each sorted."""
+        from every shard's issue and completion events, each sorted.
+
+        With numpy each event kind is concatenated into one copy and sorted
+        in place (the shards' own events stay in service order:
+        :func:`run_service` pairs them again after this), and the peak is
+        read in bounded slices of the issues."""
         np = _numpy()
         if np is not None:
-            issues = np.sort(
-                np.concatenate(
-                    [
-                        np.frombuffer(agg.issues, dtype=np.float64)
-                        for agg in self.shards
-                    ]
-                )
+            issues = np.concatenate(
+                [np.frombuffer(agg.issues, dtype=np.float64) for agg in self.shards]
             )
-            comps = np.sort(
-                np.concatenate(
-                    [
-                        np.frombuffer(agg.completions, dtype=np.float64)
-                        for agg in self.shards
-                    ]
-                )
+            issues.sort()
+            comps = np.concatenate(
+                [
+                    np.frombuffer(agg.completions, dtype=np.float64)
+                    for agg in self.shards
+                ]
             )
-            done_before = np.searchsorted(comps, issues, side="right")
-            outstanding = np.arange(1, issues.shape[0] + 1) - done_before
-            return float(issues[0]), float(comps[-1]), int(outstanding.max())
+            comps.sort()
+            peak = 0
+            for lo in range(0, issues.shape[0], _FOLD_SLICE):
+                part = issues[lo:lo + _FOLD_SLICE]
+                # Issue k (1-based) is the k-th in flight, less the
+                # completions at or before it.
+                outstanding = np.arange(
+                    lo + 1, lo + part.shape[0] + 1
+                ) - np.searchsorted(comps, part, side="right")
+                peak = max(peak, int(outstanding.max()))
+            return float(issues[0]), float(comps[-1]), peak
         all_issues: list[float] = []
         all_completions: list[float] = []
         for agg in self.shards:
@@ -593,7 +605,7 @@ class _Oracle:
             for s, (drive, *columns) in enumerate(routed):
                 queue = self.queues[s]
                 queue.extend(*columns)
-                self._dispatch(s, drive, queue, chunk.issue_ms[-1])
+                self._dispatch(s, drive, queue, float(chunk.issue_ms[-1]))
         elif self.open:
             for s, (drive, ops, lbns, counts, times) in enumerate(routed):
                 submit = drive.submit

@@ -26,6 +26,22 @@ model over a target LBN space, and appends the row straight to the chunk's
 columns.  The processes therefore differ only in their *timing* -- exactly
 what tail-latency comparisons want.
 
+The draws are written out rather than called through ``random.Random``'s
+Python-level helpers, which cost a frame or two per row and give no other
+bits.  The draw rule, for a plain ``random.Random`` on CPython 3.10-3.13:
+
+* an exponential gap of mean 1 is ``-log(1.0 - random())``, which is
+  ``expovariate(1.0)`` (CPython's ``expovariate(lambd)`` is
+  ``-log(1.0 - random()) / lambd``, and dividing by 1.0 is exact);
+* an LBN below ``span`` is ``getrandbits(span.bit_length())``, redrawn
+  while it is ``>= span``, which is ``randrange(span)`` (its
+  ``_randbelow_with_getrandbits``);
+* the direction is ``random() < read_fraction``.
+
+``tests/test_stream.py`` checks every process against a reference written
+with ``expovariate``, ``randrange`` and ``random``, so a CPython that
+changes either helper fails there.
+
 Registry access mirrors the workload registry: :func:`get_arrival`,
 :func:`available_arrivals`, :func:`arrival_config` (unknown parameters fail
 loudly with :class:`~repro.disksim.errors.ConfigError`), and
@@ -40,6 +56,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import islice
+from math import log
 from typing import Iterator
 
 from ..disksim.drive import READ, WRITE
@@ -90,24 +107,37 @@ def _chunked(
 
     Each row's LBN and then its direction are drawn from the arrival's
     ``rng`` before the generator draws its next arrival, so every stream
-    keeps its draw order whatever the chunk size.  Rows go straight into
-    the chunk's columns: the caller validated the config
+    keeps its draw order whatever the chunk size.  The LBN is
+    ``randrange(span)`` written out: ``getrandbits(k)`` with ``k =
+    span.bit_length()``, redrawn while it is ``>= span``; the direction is
+    a read when ``random() < read_fraction``.  The bound methods are looked
+    up again only when the arrival's ``rng`` is not the previous row's
+    (``multiclient`` alternates per-client generators).  Rows go straight
+    into the chunk's columns: the caller validated the config
     (:func:`_check_body`, :func:`_check_span`), so every row is valid by
     construction.  Yields each full chunk, then the non-empty tail.
     """
+    bits = span.bit_length()
+    bound = None
     while True:
         chunk = Trace()
         issue_ms = chunk.issue_ms
         lbns = chunk.lbns
-        counts = chunk.counts
         ops = chunk.ops
         for t, rng in islice(arrivals, chunk_requests):
+            if rng is not bound:
+                bound = rng
+                getrandbits = rng.getrandbits
+                uniform = rng.random
             issue_ms.append(t)
-            lbns.append(rng.randrange(span))
-            counts.append(sectors)
-            ops.append(READ if rng.random() < read_fraction else WRITE)
+            lbn = getrandbits(bits)
+            while lbn >= span:
+                lbn = getrandbits(bits)
+            lbns.append(lbn)
+            ops.append(READ if uniform() < read_fraction else WRITE)
         if not lbns:
             return
+        chunk.counts = [sectors] * len(lbns)
         yield chunk
 
 
@@ -149,10 +179,11 @@ class PoissonArrivals:
 
         def arrivals() -> Iterator[tuple[float, random.Random]]:
             rng = random.Random(config.seed)
+            uniform = rng.random
             scale = 1000.0 / config.rate_rps  # mean interarrival in ms
             t = 0.0
             for _ in range(config.n_requests):
-                t += rng.expovariate(1.0) * scale
+                t += -log(1.0 - uniform()) * scale
                 yield t, rng
 
         return _chunked(arrivals(), span, config.request_sectors,
@@ -214,19 +245,20 @@ class BurstyArrivals:
                 config.burst_rate_rps / 1000.0,
             )
             dwell_ms = (config.mean_quiet_ms, config.mean_burst_ms)
+            uniform = rng.random
             state = 0
             t = 0.0
-            state_end = rng.expovariate(1.0) * dwell_ms[state]
+            state_end = -log(1.0 - uniform()) * dwell_ms[state]
             emitted = 0
             while emitted < config.n_requests:
-                dt = rng.expovariate(1.0) / rates_per_ms[state]
+                dt = -log(1.0 - uniform()) / rates_per_ms[state]
                 if t + dt >= state_end:
                     # The candidate arrival falls in the next dwell; move
                     # to the state boundary and redraw (memorylessness
                     # makes the discarded partial gap exact).
                     t = state_end
                     state = 1 - state
-                    state_end = t + rng.expovariate(1.0) * dwell_ms[state]
+                    state_end = t + -log(1.0 - uniform()) * dwell_ms[state]
                     continue
                 t += dt
                 yield t, rng
@@ -288,12 +320,13 @@ class DiurnalArrivals:
             base = config.base_rate_rps
             swing = config.peak_rate_rps - config.base_rate_rps
             omega = 2.0 * math.pi / config.period_ms
+            uniform = rng.random
             t = 0.0
             emitted = 0
             while emitted < config.n_requests:
-                t += rng.expovariate(1.0) / peak_per_ms
+                t += -log(1.0 - uniform()) / peak_per_ms
                 rate = base + swing * 0.5 * (1.0 + math.sin(omega * t))
-                if rng.random() * config.peak_rate_rps > rate:
+                if uniform() * config.peak_rate_rps > rate:
                     continue  # thinned out
                 yield t, rng
                 emitted += 1
@@ -350,17 +383,17 @@ class MultiClientArrivals:
                 random.Random(config.seed * 1_000_003 + client)
                 for client in range(config.n_clients)
             ]
+            uniforms = [rng.random for rng in rngs]
             heap = [
-                (rngs[c].expovariate(1.0) * scale, c)
+                (-log(1.0 - uniforms[c]()) * scale, c)
                 for c in range(config.n_clients)
             ]
             heapq.heapify(heap)
             for _ in range(config.n_requests):
                 t, client = heap[0]
-                rng = rngs[client]
-                yield t, rng
+                yield t, rngs[client]
                 heapq.heapreplace(
-                    heap, (t + rng.expovariate(1.0) * scale, client)
+                    heap, (t + -log(1.0 - uniforms[client]()) * scale, client)
                 )
 
         return _chunked(arrivals(), span, config.request_sectors,

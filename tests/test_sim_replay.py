@@ -6,6 +6,8 @@ import itertools
 import math
 import random
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -532,6 +534,43 @@ def test_malformed_timestamps_fail_loudly(small_drive, mode, bad, message):
         replay(trace)
     assert str(error.value) == message
     assert small_drive.stats.requests == 0
+
+
+@pytest.mark.filterwarnings("ignore:numpy is not installed")
+@pytest.mark.parametrize("n_drives", [1, 3])
+def test_decimal_and_fraction_timestamps_replay_alike_on_every_path(
+    small_specs, monkeypatch, n_drives
+):
+    # A timestamp the row check accepts is served as float(t) on every
+    # path: the kernel reads the double from its float64 column, and the
+    # oracle is handed the same double.
+    rows = [
+        (0.0, 0, 8, "read"),
+        (Decimal("1.5"), 5000, 8, "read"),
+        (Fraction(7, 3), 64, 8, "write"),
+        (Decimal("2.5"), 9000, 8, "read"),
+    ]
+
+    def engine(fast) -> TraceReplayEngine:
+        drives = [
+            DiskDrive(small_specs, cache=FirmwareCache(enable_caching=False))
+            for _ in range(n_drives)
+        ]
+        return TraceReplayEngine(LbnRangeShard(drives), fast=fast)
+
+    expected = engine(False).replay(
+        Trace.from_records([(float(t), *rest) for t, *rest in rows])
+    ).to_dict()
+    for numpy_state in ("present", "blocked"):
+        if numpy_state == "blocked":
+            block_numpy(monkeypatch)
+        for fast in (None, False):
+            one_shot = engine(fast)
+            assert one_shot.replay(Trace.from_records(rows)).to_dict() == expected
+            kernel = fast is None and numpy_state == "present" and HAVE_NUMPY
+            assert one_shot.last_replay_path == ("kernel" if kernel else "scalar")
+            streamed = engine(fast).replay_stream(Trace.from_records(rows).iter_chunks(3))
+            assert streamed.to_dict() == expected
 
 
 # --------------------------------------------------------------------------- #

@@ -11,6 +11,7 @@ kernel and scalar chunk paths.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 import json
 import math
@@ -698,6 +699,100 @@ def test_arrival_streams_are_valid_and_deterministic(name):
     assert other.issue_ms != merged.issue_ms
 
 
+def reference_arrivals(name, config, total_lbns):
+    """``name``'s rows drawn through ``random.Random``'s public helpers
+    (``expovariate(1.0)``, ``randrange(span)``, ``random()``), in the order
+    the arrival processes draw them: each arrival's gap, then its LBN and
+    direction from the same generator."""
+    span = total_lbns - config.request_sectors
+    rows = []
+
+    def body(t, rng):
+        lbn = rng.randrange(span)
+        op = "read" if rng.random() < config.read_fraction else "write"
+        rows.append((t, lbn, config.request_sectors, op))
+
+    if name == "poisson":
+        rng = random.Random(config.seed)
+        scale = 1000.0 / config.rate_rps
+        t = 0.0
+        for _ in range(config.n_requests):
+            t += rng.expovariate(1.0) * scale
+            body(t, rng)
+    elif name == "bursty":
+        rng = random.Random(config.seed)
+        rates = (config.base_rate_rps / 1000.0, config.burst_rate_rps / 1000.0)
+        dwell = (config.mean_quiet_ms, config.mean_burst_ms)
+        state = 0
+        t = 0.0
+        state_end = rng.expovariate(1.0) * dwell[state]
+        while len(rows) < config.n_requests:
+            dt = rng.expovariate(1.0) / rates[state]
+            if t + dt >= state_end:
+                t = state_end
+                state = 1 - state
+                state_end = t + rng.expovariate(1.0) * dwell[state]
+                continue
+            t += dt
+            body(t, rng)
+    elif name == "diurnal":
+        rng = random.Random(config.seed)
+        swing = config.peak_rate_rps - config.base_rate_rps
+        omega = 2.0 * math.pi / config.period_ms
+        t = 0.0
+        while len(rows) < config.n_requests:
+            t += rng.expovariate(1.0) / (config.peak_rate_rps / 1000.0)
+            rate = config.base_rate_rps + swing * 0.5 * (1.0 + math.sin(omega * t))
+            if rng.random() * config.peak_rate_rps > rate:
+                continue
+            body(t, rng)
+    else:
+        scale = 1000.0 / config.rate_rps
+        rngs = [
+            random.Random(config.seed * 1_000_003 + client)
+            for client in range(config.n_clients)
+        ]
+        heap = [(rng.expovariate(1.0) * scale, c) for c, rng in enumerate(rngs)]
+        heapq.heapify(heap)
+        for _ in range(config.n_requests):
+            t, client = heap[0]
+            body(t, rngs[client])
+            heapq.heapreplace(heap, (t + rngs[client].expovariate(1.0) * scale, client))
+    return rows
+
+
+def service_fleet_lbns() -> int:
+    """``total_lbns`` of the service workloads' 4-drive cache-off Atlas 10K
+    II fleet (a 27-bit LBN span)."""
+    from repro.api import DriveConfig, FleetConfig, factory
+
+    fleet = factory.build_fleet(FleetConfig(n_drives=4), DriveConfig(enable_caching=False))
+    return fleet.total_lbns
+
+
+@pytest.mark.parametrize("name", ["poisson", "bursty", "diurnal", "multiclient"])
+@pytest.mark.parametrize(
+    "total_lbns", [100_000, "service", 2**40], ids=["100k", "service", "2^40"]
+)
+def test_arrival_draws_match_the_public_random_api(name, total_lbns):
+    # The processes write expovariate and randrange out; a CPython whose
+    # helpers draw differently fails here.  2**40 makes getrandbits consume
+    # two 32-bit words per LBN.
+    if total_lbns == "service":
+        total_lbns = service_fleet_lbns()
+    n_requests = 300
+    for seed in (1, 5):
+        config = arrival_config(name, n_requests=n_requests, seed=seed)
+        expected = reference_arrivals(name, config, total_lbns)
+        for chunk_requests in (1, 64, n_requests):
+            chunks = list(
+                get_arrival(name).stream(config, total_lbns, chunk_requests)
+            )
+            assert all(len(chunk) <= chunk_requests for chunk in chunks)
+            trace = Trace.from_chunks(chunks)
+            assert list(trace) == expected
+
+
 def test_arrival_streams_are_lazy():
     # A billion-request stream must hand over its first chunk instantly.
     stream = arrival_stream(
@@ -820,6 +915,29 @@ def test_blktrace_skips_comments_and_blanks():
     assert len(trace) == 2
     assert trace.issue_ms == [1.0, 2.0]
     assert trace.ops == ["read", "write"]
+
+
+@pytest.mark.parametrize("chunked", [False, True], ids=["whole", "chunked"])
+def test_blktrace_checks_each_line_once(monkeypatch, chunked):
+    # parse_blktrace_line checks the row; the importer then appends it to
+    # the chunk's columns without running the rule a second time.
+    from repro.disksim import drive as drive_module
+    from repro.sim import importers, trace as trace_module
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return drive_module.row_problem(*args, **kwargs)
+
+    monkeypatch.setattr(importers, "row_problem", counted)
+    monkeypatch.setattr(trace_module, "row_problem", counted)
+    if chunked:
+        imported = Trace.from_chunks(iter_blktrace_chunks(SAMPLE_BLKTRACE, 37))
+    else:
+        imported = import_blktrace(SAMPLE_BLKTRACE)
+    assert len(imported) == 200
+    assert len(calls) == len(imported)
 
 
 def test_raw_file_workload_scenario(tmp_path):
