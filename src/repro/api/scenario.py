@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from ..core.efficiency import efficiency_curve
 from ..disksim.drive import DiskDrive
@@ -103,20 +103,30 @@ def _attach_faults(config: ScenarioConfig, fleet: LbnRangeShard) -> None:
     )
 
 
-def _run_replay(config: ScenarioConfig, fast: bool | None = None) -> RunResult:
-    fleet = build_fleet(config.fleet, config.drive)
-    _attach_faults(config, fleet)
-    trace = build_trace(config)
-    if len(fleet) > 1 and _should_stripe(config, fleet, trace):
-        trace = stripe_trace(
-            trace, fleet, seed=int(config.options.get("stripe_seed", 43))
-        )
+def _run_on_fleet(
+    config: ScenarioConfig,
+    fast: bool | None,
+    serve: Callable[[TraceReplayEngine, "Trace | None"], RunResult],
+    generated: bool = True,
+    queue_depth: int = 1,
+    **details: Any,
+) -> RunResult:
+    """Set up, run and label a ``replay`` or ``service`` scenario.
+
+    Resolves ``fast`` from ``options`` when the caller leaves it ``None``,
+    refuses a starvation bound without a policy, builds the fleet with its
+    faults, builds the workload generator's trace (when ``generated``),
+    striped over a multi-drive fleet, and builds the engine.
+    ``serve(engine, trace)`` replays and returns the result.  Its
+    ``details`` then gain, in this order, the policy (when one is set),
+    the keyword ``details`` and the replay's path and reason.
+    """
+    opts = config.options
     if fast is None:
-        option = config.options.get("fast")
+        option = opts.get("fast")
         fast = None if option is None else bool(option)
-    policy = config.options.get("scheduler")
-    starvation = config.options.get("starvation_ms")
-    depth = int(config.options.get("queue_depth", 1))
+    policy = opts.get("scheduler")
+    starvation = opts.get("starvation_ms")
     if starvation is not None and policy is None:
         # A bound with no policy selected would be silently ignored while
         # still forking the scenario's content hash -- refuse.  (With an
@@ -126,6 +136,39 @@ def _run_replay(config: ScenarioConfig, fast: bool | None = None) -> RunResult:
             "options['starvation_ms'] needs options['scheduler'] to be "
             "set; pick a policy for the bound to act on"
         )
+    fleet = build_fleet(config.fleet, config.drive)
+    _attach_faults(config, fleet)
+    trace = None
+    if generated:
+        trace = build_trace(config)
+        if len(fleet) > 1 and _should_stripe(config, fleet, trace):
+            trace = stripe_trace(
+                trace, fleet, seed=int(opts.get("stripe_seed", 43))
+            )
+    engine = TraceReplayEngine(
+        fleet,
+        fast=fast,
+        scheduler=policy,
+        starvation_ms=None if starvation is None else float(starvation),
+        queue_depth=queue_depth,
+    )
+    result = serve(engine, trace)
+    if policy is not None:
+        # Scheduling is part of the experiment's identity (unlike 'fast'),
+        # so the chosen policy is reported in the result payload.
+        result.details["scheduler"] = engine.scheduler_name
+    result.details.update(details)
+    # Every replay record explains its own execution: which implementation
+    # served it and why ("ok" on fast paths, one stable reason string per
+    # refusal -- see TraceReplayEngine's vocabulary).  Execution detail,
+    # not experiment identity: never part of the scenario hash.
+    result.details["replay_path"] = engine.last_replay_path
+    result.details["fast_reason"] = engine.last_fast_reason
+    return result
+
+
+def _run_replay(config: ScenarioConfig, fast: bool | None = None) -> RunResult:
+    depth = int(config.options.get("queue_depth", 1))
     if config.mode == "open" and "queue_depth" in config.options:
         # In open replay the queue emerges from arrivals outrunning
         # service; a depth knob would be silently ignored while still
@@ -135,31 +178,17 @@ def _run_replay(config: ScenarioConfig, fast: bool | None = None) -> RunResult:
             "scenario replays in 'open' mode (queueing emerges from the "
             "trace's arrival times)"
         )
-    engine = TraceReplayEngine(
-        fleet,
-        fast=fast,
-        scheduler=policy,
-        starvation_ms=None if starvation is None else float(starvation),
-        queue_depth=depth,
-    )
-    if config.mode == "closed":
-        stats = engine.replay_closed(trace, think_ms=config.think_ms)
-    else:
-        stats = engine.replay(trace)
-    result = RunResult.from_replay(
-        stats, scenario=config.name, traxtent=config.traxtent
-    )
-    if policy is not None:
-        # Scheduling is part of the experiment's identity (unlike 'fast'),
-        # so the chosen policy is reported in the result payload.
-        result.details["scheduler"] = engine.scheduler_name
-    # Every replay record explains its own execution: which implementation
-    # served it and why ("ok" on fast paths, one stable reason string per
-    # refusal -- see TraceReplayEngine's vocabulary).  Execution detail,
-    # not experiment identity: never part of the scenario hash.
-    result.details["replay_path"] = engine.last_replay_path
-    result.details["fast_reason"] = engine.last_fast_reason
-    return result
+
+    def serve(engine: TraceReplayEngine, trace: Trace) -> RunResult:
+        if config.mode == "closed":
+            stats = engine.replay_closed(trace, think_ms=config.think_ms)
+        else:
+            stats = engine.replay(trace)
+        return RunResult.from_replay(
+            stats, scenario=config.name, traxtent=config.traxtent
+        )
+
+    return _run_on_fleet(config, fast, serve, queue_depth=depth)
 
 
 def _should_stripe(
@@ -262,61 +291,40 @@ def _run_service(config: ScenarioConfig, fast: bool | None = None) -> RunResult:
             "options['queue_depth'] applies to closed replay only; in a "
             "service scenario queueing emerges from the arrival process"
         )
-    fleet = build_fleet(config.fleet, config.drive)
-    _attach_faults(config, fleet)
-    if fast is None:
-        option = config.options.get("fast")
-        fast = None if option is None else bool(option)
     opts = config.options
     chunk_requests = int(opts.get("chunk_requests", DEFAULT_CHUNK_REQUESTS))
     slo_ms = float(opts.get("slo_ms", 50.0))
     queue_samples = int(opts.get("queue_samples", 64))
-    policy = opts.get("scheduler")
-    starvation = opts.get("starvation_ms")
-    if starvation is not None and policy is None:
-        raise ConfigError(
-            "options['starvation_ms'] needs options['scheduler'] to be "
-            "set; pick a policy for the bound to act on"
-        )
-
     name = config.workload.name
-    if name in ARRIVALS:
-        params = dict(config.workload.params)
-        if config.seed is not None:
-            params["seed"] = config.seed
-        arrivals = arrival_config(name, **params)
-        source = ARRIVALS[name].stream(
-            arrivals, fleet.total_lbns, chunk_requests
-        )
-        stream = TraceStream(source)
-    else:
-        trace = build_trace(config)
-        if len(fleet) > 1 and _should_stripe(config, fleet, trace):
-            trace = stripe_trace(
-                trace, fleet, seed=int(opts.get("stripe_seed", 43))
-            )
-        if not trace.is_time_ordered():
-            trace = trace.sorted_by_issue()
-        stream = TraceStream.from_trace(trace, chunk_requests)
 
-    engine = TraceReplayEngine(
-        fleet,
-        fast=fast,
-        scheduler=policy,
-        starvation_ms=None if starvation is None else float(starvation),
+    def serve(engine: TraceReplayEngine, trace: "Trace | None") -> RunResult:
+        if trace is None:
+            params = dict(config.workload.params)
+            if config.seed is not None:
+                params["seed"] = config.seed
+            arrivals = arrival_config(name, **params)
+            source = ARRIVALS[name].stream(
+                arrivals, engine.fleet.total_lbns, chunk_requests
+            )
+            stream = TraceStream(source)
+        else:
+            if not trace.is_time_ordered():
+                trace = trace.sorted_by_issue()
+            stream = TraceStream.from_trace(trace, chunk_requests)
+        stats = run_service(
+            engine, stream, slo_ms=slo_ms, queue_samples=queue_samples
+        )
+        return RunResult.from_service(
+            stats, scenario=config.name, traxtent=config.traxtent
+        )
+
+    return _run_on_fleet(
+        config,
+        fast,
+        serve,
+        generated=name not in ARRIVALS,
+        arrival_process=name if name in ARRIVALS else None,
     )
-    stats = run_service(
-        engine, stream, slo_ms=slo_ms, queue_samples=queue_samples
-    )
-    result = RunResult.from_service(
-        stats, scenario=config.name, traxtent=config.traxtent
-    )
-    if policy is not None:
-        result.details["scheduler"] = engine.scheduler_name
-    result.details["arrival_process"] = name if name in ARRIVALS else None
-    result.details["replay_path"] = engine.last_replay_path
-    result.details["fast_reason"] = engine.last_fast_reason
-    return result
 
 
 def run_scenario(config: ScenarioConfig, fast: bool | None = None) -> RunResult:

@@ -55,12 +55,6 @@ class AllocationStats:
     split_allocations: int = 0
     single_traxtent_fits: int = 0
 
-    @property
-    def internal_fragmentation(self) -> float:
-        if self.sectors_allocated == 0:
-            return 0.0
-        return 1.0 - self.sectors_requested / self.sectors_allocated
-
 
 class ExtentAllocator:
     """Allocate variable-sized, track-aligned extents.
@@ -87,13 +81,6 @@ class ExtentAllocator:
 
     def free_traxtents(self) -> int:
         return sum(self._free)
-
-    def free_sectors(self) -> int:
-        return sum(
-            extent.length
-            for extent, free in zip(self._map, self._free)
-            if free
-        )
 
     def is_free(self, index: int) -> bool:
         return self._free[index]

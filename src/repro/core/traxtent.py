@@ -176,9 +176,6 @@ class TraxtentMap:
                 out.append(extent)
         return out
 
-    def mean_track_sectors(self) -> float:
-        return sum(e.length for e in self._extents) / len(self._extents)
-
     def restrict(self, start: int, end: int) -> "TraxtentMap":
         """Sub-map of extents fully contained in [start, end); partial
         extents at the edges are dropped (a partition cannot use them as

@@ -85,10 +85,6 @@ class DefectList:
     def __bool__(self) -> bool:
         return bool(self._defects)
 
-    def on_track(self, cylinder: int, surface: int) -> list[Defect]:
-        """All defects on the given track, sorted by physical sector."""
-        return list(self._by_track.get((cylinder, surface), ()))
-
     def slipped_on_track(self, cylinder: int, surface: int) -> list[Defect]:
         """Only the slipped defects on the given track."""
         return [
@@ -100,10 +96,6 @@ class DefectList:
     def remapped(self) -> list[Defect]:
         """All remapped defects on the drive."""
         return [d for d in self._defects if d.handling == DefectHandling.REMAPPED]
-
-    def cylinders_with_defects(self) -> set[int]:
-        """Set of cylinder numbers containing at least one defect."""
-        return {d.cylinder for d in self._defects}
 
     # ------------------------------------------------------------------ #
     @classmethod

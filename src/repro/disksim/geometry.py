@@ -419,10 +419,6 @@ class DiskGeometry:
             raise AddressError(f"track {track} out of range")
         return self._track_first_lbn[track], self._track_lbn_count[track]
 
-    def sectors_per_track_at(self, lbn: int) -> int:
-        """Number of LBN-holding sectors on the track containing ``lbn``."""
-        return self._track_lbn_count[self.track_of_lbn(lbn)]
-
     def track_extents(
         self, start_lbn: int = 0, end_lbn: int | None = None
     ) -> Iterator[TrackExtent]:

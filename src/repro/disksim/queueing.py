@@ -41,12 +41,6 @@ class WorkloadResult:
             return 0.0
         return sum(self.head_times) / len(self.head_times)
 
-    @property
-    def mean_response_time(self) -> float:
-        if not self.completed:
-            return 0.0
-        return sum(c.response_time for c in self.completed) / len(self.completed)
-
     def response_times(self) -> list[float]:
         return [c.response_time for c in self.completed]
 

@@ -109,16 +109,3 @@ class SeekCurve:
         if distance <= self.crossover:
             return self.single_cylinder_ms + self.sqrt_coeff * math.sqrt(distance - 1)
         return self.linear_base + self.linear_coeff * distance
-
-    def average_over(self, span: int) -> float:
-        """Expected seek time for uniformly random request pairs whose
-        cylinders both lie within a contiguous ``span`` of cylinders.
-
-        The distance between two independent uniform draws over ``span``
-        cylinders has mean ``span/3``; this helper evaluates the curve at
-        that mean distance, which is accurate enough for sanity checks and
-        admission-control estimates.
-        """
-        if span <= 1:
-            return 0.0
-        return self.seek_time(max(1, span // 3))

@@ -137,9 +137,6 @@ class TraxtentAllocation(ClusteredAllocation):
     def excluded_blocks(self) -> list[int]:
         return list(self._excluded)
 
-    def excluded_fraction(self, blockmap: BlockMap) -> float:
-        return len(self._excluded) / max(1, blockmap.total_blocks)
-
     def blocks_to_boundary(self, blkno: int) -> int:
         """Blocks from ``blkno`` (inclusive) to the end of its traxtent --
         the natural clip length for read-ahead and write-back requests."""

@@ -20,11 +20,6 @@ class CacheStats:
     evictions: int = 0
     dirty_flushes: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class BufferCache:
     """LRU cache of file-system blocks, keyed by physical block number."""

@@ -61,9 +61,6 @@ class BlockMap:
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
-    def group_of(self, block: int) -> int:
-        return block // self.blocks_per_group
-
     def group_range(self, group: int) -> tuple[int, int]:
         first = group * self.blocks_per_group
         return first, min(first + self.blocks_per_group, self.total_blocks)

@@ -210,9 +210,6 @@ class FFS:
     def exists(self, path: str) -> bool:
         return path in self._inodes
 
-    def list_files(self) -> list[str]:
-        return sorted(p for p, node in self._inodes.items() if not node.is_directory)
-
     def mkdir(self, path: str) -> Inode:
         """Create a directory; new directories rotate across block groups,
         which is how FFS spreads unrelated data over the disk."""

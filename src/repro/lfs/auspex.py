@@ -66,6 +66,3 @@ class AuspexLikeWorkload:
                 yield WriteOp(file_id=file_id, nbytes=0, delete=True)
                 continue
             yield WriteOp(file_id=file_id, nbytes=self.file_size(rng, file_id))
-
-    def total_bytes_written(self) -> int:
-        return sum(op.nbytes for op in self.operations() if not op.delete)

@@ -71,9 +71,6 @@ class SegmentUsageTable:
     def live_sectors(self) -> int:
         return sum(s.live_sectors for s in self._segments)
 
-    def mean_segment_sectors(self) -> float:
-        return self.total_sectors() / len(self._segments)
-
     def pick_cleaning_victims(self, needed: int) -> list[Segment]:
         """Greedy cleaner: written segments in order of lowest utilization."""
         victims = sorted(self.dirty_segments(), key=lambda s: s.utilization)

@@ -145,7 +145,9 @@ def _numpy():
 #: (shared across campaign points) share one table set without leaking.
 _GEOMETRY_TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
-#: seek curve -> {n_cylinders: float64 seek-time table}.
+#: seek curve -> {n_cylinders: [seek_time(d) for every distance d]}.
+_SEEK_LISTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+#: seek curve -> {n_cylinders: that list as a float64 array}.
 _SEEK_TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -192,37 +194,33 @@ def geometry_tables(geometry: "DiskGeometry"):
     return tables
 
 
-def seek_table(curve: "SeekCurve", n_cylinders: int):
-    """``table[d] == curve.seek_time(d)`` for every distance (cached)."""
-    np = _numpy()
-    per_curve = _SEEK_TABLES.get(curve)
-    if per_curve is None:
-        per_curve = {}
-        _SEEK_TABLES[curve] = per_curve
+def seek_table_list(curve: "SeekCurve", n_cylinders: int) -> list[float]:
+    """``table[d] == curve.seek_time(d)`` for every distance, as Python
+    floats (cached; built without numpy)."""
+    per_curve = _SEEK_LISTS.setdefault(curve, {})
     table = per_curve.get(n_cylinders)
     if table is None:
         seek_time = curve.seek_time
-        table = np.asarray(
-            [seek_time(d) for d in range(n_cylinders)], dtype=np.float64
-        )
+        table = [float(seek_time(d)) for d in range(n_cylinders)]
         per_curve[n_cylinders] = table
     return table
 
 
-def seek_table_list(curve: "SeekCurve", n_cylinders: int) -> list[float]:
-    """Python-list twin of :func:`seek_table` (cached) for scalar lookups."""
+def seek_table(curve: "SeekCurve", n_cylinders: int):
+    """:func:`seek_table_list` as a float64 array (cached)."""
+    np = _numpy()
     per_curve = _SEEK_TABLES.setdefault(curve, {})
-    key = ("list", n_cylinders)
-    table = per_curve.get(key)
+    table = per_curve.get(n_cylinders)
     if table is None:
-        table = seek_table(curve, n_cylinders).tolist()
-        per_curve[key] = table
+        table = np.asarray(seek_table_list(curve, n_cylinders), dtype=np.float64)
+        per_curve[n_cylinders] = table
     return table
 
 
 def clear_kernel_tables() -> None:
     """Drop the cached geometry/seek tables (tests and benchmarks)."""
     _GEOMETRY_TABLES.clear()
+    _SEEK_LISTS.clear()
     _SEEK_TABLES.clear()
 
 

@@ -104,11 +104,6 @@ class TraceStream:
     def __iter__(self) -> Iterator["Trace"]:
         return self._chunks
 
-    def materialize(self) -> "Trace":
-        """Assemble the remaining chunks into one trace (consumes the
-        stream)."""
-        return Trace.from_chunks(self)
-
 
 # --------------------------------------------------------------------------- #
 # The request check

@@ -33,10 +33,6 @@ class RoundMeasurement:
     def mean_ms(self) -> float:
         return sum(self.round_times_ms) / len(self.round_times_ms)
 
-    @property
-    def max_ms(self) -> float:
-        return max(self.round_times_ms)
-
 
 class VideoServer:
     """A single-disk video server model (arrays scale results by D)."""

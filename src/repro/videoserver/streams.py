@@ -47,6 +47,3 @@ class StreamSpec:
         """Worst-case startup latency of a newly admitted stream on a
         ``disks``-wide array (Santos et al. / RIO accounting)."""
         return round_time_s * (disks + 1)
-
-    def with_io_size(self, io_size_bytes: int) -> "StreamSpec":
-        return StreamSpec(bit_rate=self.bit_rate, io_size_bytes=io_size_bytes)

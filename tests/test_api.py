@@ -366,6 +366,41 @@ def test_explicit_stripe_of_global_trace_is_an_error():
     assert "stripe" in str(excinfo.value)
 
 
+STARVATION_WITHOUT_POLICY = (
+    "options['starvation_ms'] needs options['scheduler'] to be set; "
+    "pick a policy for the bound to act on"
+)
+
+
+@pytest.mark.parametrize(
+    "kind, options, message",
+    [
+        ("replay", {"starvation_ms": 20.0}, STARVATION_WITHOUT_POLICY),
+        ("service", {"starvation_ms": 20.0}, STARVATION_WITHOUT_POLICY),
+        (
+            "replay",
+            {"queue_depth": 4},
+            "options['queue_depth'] applies to closed replay only; this scenario "
+            "replays in 'open' mode (queueing emerges from the trace's arrival times)",
+        ),
+    ],
+    ids=["replay-starvation", "service-starvation", "open-replay-queue-depth"],
+)
+def test_replay_and_service_refuse_knobs_they_would_ignore(kind, options, message):
+    # Each knob would be silently ignored while still forking the scenario
+    # hash, so the run refuses it, in these words, before replaying.
+    config = ScenarioConfig(
+        name="refused",
+        kind=kind,
+        drive=DriveConfig(**SMALL),
+        workload=WorkloadConfig(name="synthetic", params={"n_requests": 20}),
+        options=options,
+    )
+    with pytest.raises(ConfigError) as excinfo:
+        run_scenario(config)
+    assert str(excinfo.value) == message
+
+
 RAW_ROW_ERRORS = {
     "non-integer-lbn": ((1.0, 100.5, 8), "request #1: LBN 100.5 is not an integer"),
     "non-integer-count": ((1.0, 100, 8.0), "request #1: count 8.0 is not an integer"),

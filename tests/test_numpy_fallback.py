@@ -6,7 +6,8 @@ level, so a spawn worker in a numpy-less environment pays the failed
 import once, and says so once, instead of on every call.  These tests
 monkeypatch numpy away, reset the cache, and assert exactly one attempt,
 exactly one :class:`RuntimeWarning`, and correct scalar results for both
-the replay's row check and the replay engine's kernel auto-selection.
+the replay's row check and the replay engine's kernel auto-selection.  The
+seek table's list form is built without numpy at all.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ import warnings
 
 import pytest
 
-from _numpy_gate import block_numpy
+from _numpy_gate import HAVE_NUMPY, block_numpy
 from repro.disksim import DiskDrive, DiskGeometry, small_test_specs
 from repro.disksim.errors import RequestError
 from repro.sim import Trace, TraceReplayEngine, TraceStream
+from repro.sim.kernel import clear_kernel_tables, seek_table, seek_table_list
 
 SMALL = dict(cylinders_per_zone=12, num_zones=3)
 
@@ -92,3 +94,18 @@ def test_replay_degrades_to_scalar_without_numpy(monkeypatch):
         without_numpy = [replay(trace, mode, options)[1].to_dict() for mode, options in REPLAYS]
     assert len(attempts) == 1
     assert without_numpy == with_numpy
+
+
+def test_seek_table_is_built_without_numpy(monkeypatch):
+    # The list needs no numpy, so scalar code can read it on a host
+    # without numpy; the kernel's array holds the same doubles.
+    drive = DiskDrive.for_model("Quantum Atlas 10K II")
+    curve, cylinders = drive.seek_curve, drive.geometry.cylinders
+    expected = [curve.seek_time(d) for d in range(cylinders)]
+    clear_kernel_tables()
+    attempts = block_numpy(monkeypatch)
+    assert seek_table_list(curve, cylinders) == expected
+    assert attempts == []
+    monkeypatch.undo()
+    if HAVE_NUMPY:
+        assert seek_table(curve, cylinders).tolist() == expected
